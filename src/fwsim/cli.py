@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,8 @@ from .errors import FwsimError, ConfigError
 from .fw import fw_reference
 from .graphs import build_distance_matrix, gen_synthetic, load_edge_list
 from .hbm import HbmConfig, config_to_dict, load_config, validate_config
-from .scheduler import SimResult, simulate, simulate_functional, utilization_report
+from .scheduler import (SimResult, simulate, simulate_functional, tiles_per_row,
+                        utilization_report)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -47,10 +47,7 @@ def build_report(result: SimResult, cfg: HbmConfig, graph_path=None) -> dict:
     """Assemble the JSON run report, separating modeled quantities (cycles,
     counts) from calibrated ones (seconds, joules) and stamping the constants
     used for the latter."""
-    util = None
-    if result.timeline is not None:
-        u = utilization_report(result)
-        util = {"max": u["max"], "min": u["min"], "mean": u["mean"]}
+    u = utilization_report(result)
     return {
         "tool": {"name": "fwsim", "version": __version__},
         "workload": {
@@ -66,7 +63,7 @@ def build_report(result: SimResult, cfg: HbmConfig, graph_path=None) -> dict:
             "bulk_load_cycles": result.bulk_load_cycles,
             "op_counts": dataclasses.asdict(result.counts),
             "per_bank_group_busy_cycles": result.per_bank_group_busy,
-            "utilization": util,
+            "utilization": {"max": u["max"], "min": u["min"], "mean": u["mean"]},
         },
         "calibrated": {
             "clock_period_ps": cfg.clock_period_ps,
@@ -105,6 +102,10 @@ def cmd_verify(args) -> int:
     element against the reference (INF entries included)."""
     cfg = load_config(args.config)
     n, b = args.nodes, args.block_size
+    if n is None:
+        raise ConfigError("verify needs --nodes")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     failures = []
     for trial in range(args.trials):
         edges = gen_synthetic(n, args.density, seed=args.seed + trial)
@@ -160,6 +161,8 @@ def _sweep_point(param: str, value: int, base: HbmConfig, n: int, b: int):
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
+    if args.nodes is None and args.param != "n":
+        raise ConfigError("sweep needs --nodes unless it sweeps n")
     values = args.values
     if not values:
         raise ConfigError("sweep needs at least one value")
@@ -169,21 +172,12 @@ def cmd_sweep(args) -> int:
     points = [_sweep_point(args.param, v, cfg, args.nodes, args.block_size)
               for v in values]
     # Validate the whole sweep up front: one bad point rejects everything.
-    if not args.relax_wavefront:
-        for point_cfg, n, b in points:
-            validate_config(point_cfg, -(-n // b))
-
-    def run_point(point):
-        point_cfg, n, b = point
-        return simulate(n, b, point_cfg,
-                        enforce_wavefront=not args.relax_wavefront,
-                        keep_timeline=False)
-
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(run_point, points))
-    else:
-        results = [run_point(p) for p in points]
+    for point_cfg, n, b in points:
+        m = tiles_per_row(n, b)
+        if not args.relax_wavefront:
+            validate_config(point_cfg, m)
+    results = [simulate(n, b, point_cfg, enforce_wavefront=not args.relax_wavefront)
+               for point_cfg, n, b in points]
 
     rows = []
     base_time = results[0].total_time_seconds
@@ -237,10 +231,17 @@ def cmd_project(args) -> int:
 def cmd_compare(args) -> int:
     if args.baseline_runtime is None or args.baseline_runtime <= 0:
         raise ConfigError("--baseline-runtime must be a positive duration in seconds")
-    with open(args.report, "r", encoding="utf-8") as fh:
-        report = json.load(fh)
-    sim_seconds = report["calibrated"]["total_time_seconds"]
-    sim_joules = report["calibrated"]["energy_joules"]
+    try:
+        with open(args.report, "r", encoding="utf-8") as fh:
+            calibrated = json.load(fh)["calibrated"]
+        sim_seconds = calibrated["total_time_seconds"]
+        sim_joules = calibrated["energy_joules"]
+        valid = sim_seconds > 0 and sim_joules >= 0
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{args.report} is not a run report: {exc!r}") from None
+    if not valid:
+        raise ConfigError(f"{args.report}: the simulated time must be positive "
+                          "and the energy non-negative")
     out = {
         "baseline": {
             "name": args.baseline_name,
@@ -304,8 +305,6 @@ def make_parser() -> argparse.ArgumentParser:
                          type=lambda s: [int(v) for v in s.split(",")],
                          help="comma-separated values, strictly increasing")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_sweep.add_argument("--parallel", type=int, default=1,
-                         help="worker threads (results are order-stable)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_project = sub.add_parser("project", help="cubic runtime projection")
@@ -335,7 +334,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FwsimError, FileNotFoundError, KeyError) as exc:
+    except (FwsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

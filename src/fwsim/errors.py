@@ -25,7 +25,3 @@ class ConstraintViolation(ConfigError):
 
 class GuardError(FwsimError, RuntimeError):
     """A problem size exceeds a guard intended to keep a code path tractable."""
-
-
-class TimelineUnavailable(FwsimError, RuntimeError):
-    """The requested analysis needs the event timeline, but it was elided."""

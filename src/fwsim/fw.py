@@ -1,6 +1,6 @@
 """Bit-exact Floyd-Warshall: scalar min-plus kernel, the O(N^3) reference,
-and the blocked variant that also emits the tile-operation trace consumed by
-the timing scheduler.
+the blocked variant, and the per-round tile operations that the timing
+scheduler schedules.
 
 All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
 and any finite sum that would overflow 32 bits saturates to INF.
@@ -31,8 +31,8 @@ class TilePhase(Enum):
 class TileOpRecord:
     """One blocked-FW tile operation: which tile is written, from which tiles.
 
-    The stream of these records for a whole run is the workload trace handed
-    to the scheduler.
+    round_records lists them per pivot round; the scheduler derives each
+    round's events from that list.
     """
 
     phase: TilePhase
@@ -163,23 +163,20 @@ def _update_remaining(tiles: np.ndarray, k: int, others: list[int]) -> None:
         tiles[np.ix_(others[lo:hi], others)] = block
 
 
-def fw_blocked(t: TiledMatrix) -> tuple[TiledMatrix, list[TileOpRecord]]:
+def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     """Blocked Floyd-Warshall over a tiled matrix.
 
     Per pivot round k: the pivot tile gets an in-tile FW pass, then the pivot
     row and column are updated against the fresh pivot, then every remaining
-    tile is relaxed against its row/column tiles. Returns the updated matrix
-    and the ordered tile-operation trace. The numeric result equals
-    fw_reference on the flattened matrix, element-exact.
+    tile is relaxed against its row/column tiles. Returns the updated matrix,
+    which equals fw_reference on the flattened matrix, element-exact.
     """
     tiles = t.tiles.copy()
-    trace: list[TileOpRecord] = []
     for k in range(t.m):
-        trace.extend(round_records(k, t.m))
         tiles[k, k] = tile_fw(tiles[k, k])
         others = [i for i in range(t.m) if i != k]
         if others:
             _update_pivot_rows(tiles, k, others)
             _update_pivot_cols(tiles, k, others)
             _update_remaining(tiles, k, others)
-    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=tiles), trace
+    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=tiles)

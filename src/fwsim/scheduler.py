@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConstraintViolation, GuardError, TimelineUnavailable
+from .errors import ConfigError, ConstraintViolation, GuardError
 from .fw import TilePhase, fw_blocked, round_records
 from .graphs import from_tile_major, to_tile_major
 from .hbm import HbmConfig, TileMap, validate_config
@@ -34,10 +34,6 @@ from .perf import (
     tile_row_pass_cost,
     tile_update_cost,
 )
-
-# Keep the full event list only for runs up to this many pivot rounds;
-# larger sweeps aggregate counters and drop per-event records.
-TIMELINE_ROUND_LIMIT = 64
 
 # simulate_functional refuses matrices larger than this by default.
 FUNCTIONAL_GUARD = 4096
@@ -71,7 +67,7 @@ class PhaseEvent:
 
 @dataclass
 class SimResult:
-    """Totals of one simulated run plus the (optionally elided) timeline."""
+    """Totals of one simulated run. timeline() gives its events."""
 
     n: int
     block_size: int
@@ -82,7 +78,6 @@ class SimResult:
     counts: OpCounts
     energy: "object"
     per_bank_group_busy: list[int]
-    timeline: list[PhaseEvent] | None
 
     @property
     def total_time_seconds(self) -> float:
@@ -90,20 +85,19 @@ class SimResult:
 
 
 class _Builder:
-    """Mutable scheduling state for one simulate() call."""
+    """Mutable scheduling state for one run: aggregate counters, plus the
+    event list when events is a list (None aggregates only)."""
 
-    def __init__(self, cfg: HbmConfig, tilemap: TileMap, keep_timeline: bool):
-        self.cfg = cfg
+    def __init__(self, tilemap: TileMap, events: list[PhaseEvent] | None):
         self.tilemap = tilemap
-        self.keep = keep_timeline
-        self.events: list[PhaseEvent] = []
+        self.events = events
         self.counts = ZERO_COUNTS
         self.busy = [0] * tilemap.total_bank_groups
         self.max_end = 0
 
     def emit(self, kind, k, target, resource, start, cycles, counts) -> int:
         end = start + cycles
-        if self.keep:
+        if self.events is not None:
             self.events.append(
                 PhaseEvent(kind, k, target, resource, start, end, counts)
             )
@@ -139,16 +133,17 @@ def schedule_round(
     tilemap: TileMap,
     cfg: HbmConfig,
     round_start: int = 0,
-    builder: _Builder | None = None,
 ) -> list[PhaseEvent]:
-    """Emit the events of pivot round k, starting no earlier than round_start.
+    """The events of pivot round k, starting no earlier than round_start."""
+    builder = _Builder(tilemap, [])
+    _emit_round(builder, k, m, b, cfg, round_start)
+    return builder.events
 
-    Returns the event list (always materialized when called directly; the
-    internal builder may elide storage for very large sweeps).
-    """
-    if builder is None:
-        builder = _Builder(cfg, tilemap, keep_timeline=True)
-    first_event = len(builder.events)
+
+def _emit_round(builder: _Builder, k: int, m: int, b: int, cfg: HbmConfig,
+                round_start: int) -> None:
+    """Emit the events of pivot round k into builder."""
+    tilemap = builder.tilemap
     pim = cfg.pim
     records = round_records(k, m)
     pivot_bg = tilemap.bank_group(k, k)
@@ -166,7 +161,7 @@ def schedule_round(
     p2 = [r for r in records if r.phase in (TilePhase.PIVOT_ROW, TilePhase.PIVOT_COL)]
     p3 = [r for r in records if r.phase is TilePhase.REMAINING]
     if not p2:
-        return builder.events[first_event:] if builder.keep else []
+        return
 
     tsv_free = round_start
     chan_free: dict[int, int] = {}
@@ -180,6 +175,7 @@ def schedule_round(
         max(pivot_end, tsv_free), fill.cycles, fill.counts,
     )
     tsv_free = bcast_end
+    cpe = cpe_reduction_cost(cfg.bank_groups_per_channel, cfg)
 
     def run_update(record, kind, start_floor, vec_quotes):
         bg = tilemap.bank_group(*record.target)
@@ -196,7 +192,6 @@ def schedule_round(
         group_free[bg] = end
         if pim.cpe_reduce_per_tile:
             ch = tilemap.channel_of(bg)
-            cpe = cpe_reduction_cost(cfg.bank_groups_per_channel, cfg)
             cstart = max(end, chan_free.get(ch, round_start))
             chan_free[ch] = builder.emit(
                 EventKind.CPE_REDUCE, k, record.target, f"ch:{ch}",
@@ -233,26 +228,18 @@ def schedule_round(
         vec_kj = _vector_quote(tilemap.bank_group(k, j), bg, b, cfg)
         run_update(r, EventKind.REMAINING_UPDATE, p2_barrier, [vec_ik, vec_kj])
 
-    return builder.events[first_event:] if builder.keep else []
 
-
-def simulate(
-    n: int,
-    b: int,
-    cfg: HbmConfig,
-    *,
-    enforce_wavefront: bool = True,
-    keep_timeline: bool | None = None,
-) -> SimResult:
-    """Simulate blocked FW on an n-vertex graph with b x b tiles.
-
-    Purely analytic: runtime scales with the number of tiles, not n^3.
-    Deterministic: identical inputs produce identical results, timeline
-    included.
-    """
+def tiles_per_row(n: int, b: int) -> int:
+    """Tiles per row of an n-vertex matrix cut into b x b tiles (n padded up)."""
     if n < 1 or b < 1:
-        raise ValueError("n and b must be >= 1")
-    m = -(-n // b)
+        raise ConfigError(f"n and b must be >= 1, got n={n}, b={b}")
+    return -(-n // b)
+
+
+def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
+         events: list[PhaseEvent] | None) -> _Builder:
+    """Validate, charge the bulk load, then chain the pivot rounds."""
+    m = tiles_per_row(n, b)
     try:
         validate_config(cfg, m)
     except ConstraintViolation:
@@ -260,10 +247,7 @@ def simulate(
             raise
     tilemap = TileMap(m=m, channels=cfg.channels,
                       groups_per_channel=cfg.bank_groups_per_channel)
-    if keep_timeline is None:
-        keep_timeline = m <= TIMELINE_ROUND_LIMIT
-    builder = _Builder(cfg, tilemap, keep_timeline)
-
+    builder = _Builder(tilemap, events)
     start = 0
     if cfg.pim.bulk_load_cycles > 0:
         load_bits = (m * b) * (m * b) * cfg.pim.operand_bits
@@ -272,22 +256,37 @@ def simulate(
             cfg.pim.bulk_load_cycles, OpCounts(tsv_bits=load_bits),
         )
     for k in range(m):
-        schedule_round(k, m, b, tilemap, cfg, round_start=start, builder=builder)
+        _emit_round(builder, k, m, b, cfg, start)
         start = builder.max_end
+    return builder
 
+
+def simulate(n: int, b: int, cfg: HbmConfig, *,
+             enforce_wavefront: bool = True) -> SimResult:
+    """Simulate blocked FW on an n-vertex graph with b x b tiles.
+
+    Purely analytic: runtime scales with the number of tiles, not n^3.
+    Deterministic: identical inputs produce identical results.
+    """
+    builder = _run(n, b, cfg, enforce_wavefront, None)
     total = builder.max_end
     return SimResult(
         n=n,
         block_size=b,
-        tiles_per_row=m,
+        tiles_per_row=builder.tilemap.m,
         total_cycles=total,
         total_time_ps=total * cfg.clock_period_ps,
         bulk_load_cycles=cfg.pim.bulk_load_cycles,
         counts=builder.counts,
         energy=energy_of(builder.counts, cfg.energy),
         per_bank_group_busy=builder.busy,
-        timeline=builder.events if keep_timeline else None,
     )
+
+
+def timeline(n: int, b: int, cfg: HbmConfig, *,
+             enforce_wavefront: bool = True) -> list[PhaseEvent]:
+    """Every event of the run that simulate() totals, in emission order."""
+    return _run(n, b, cfg, enforce_wavefront, []).events
 
 
 def simulate_functional(
@@ -308,18 +307,11 @@ def simulate_functional(
         )
     tiled = to_tile_major(d, b)
     result = simulate(n, b, cfg, enforce_wavefront=enforce_wavefront)
-    updated, trace = fw_blocked(tiled)
-    assert len(trace) == sum(len(round_records(k, tiled.m)) for k in range(tiled.m))
-    return from_tile_major(updated, n), result
+    return from_tile_major(fw_blocked(tiled), n), result
 
 
 def utilization_report(result: SimResult) -> dict:
-    """Per-bank-group busy fractions plus max/min/mean. Needs the timeline."""
-    if result.timeline is None:
-        raise TimelineUnavailable(
-            "the event timeline was elided for this run; re-run with "
-            "keep_timeline=True to compute utilization"
-        )
+    """Per-bank-group busy fractions plus max/min/mean."""
     total = result.total_cycles
     if total == 0:
         fractions = [0.0] * len(result.per_bank_group_busy)

@@ -1,0 +1,123 @@
+"""CLI exit-code contract: 0 success, 1 verification failure, 2 usage or
+configuration error, and never a traceback."""
+
+import json
+
+import numpy as np
+import pytest
+
+from fwsim import cli
+
+RUN = ["run", "--nodes", "64", "--block-size", "16"]
+SWEEP = ["sweep", "--nodes", "64", "--block-size", "16", "--param", "channels",
+         "--values", "4,8"]
+VERIFY = ["verify", "--nodes", "24", "--block-size", "8", "--trials", "2"]
+
+
+def invoke(argv, capsys):
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.fixture
+def files(tmp_path):
+    (tmp_path / "not_json.json").write_text("[1")
+    (tmp_path / "partial.json").write_text('{"calibrated": {}}')
+    (tmp_path / "zero_time.json").write_text(
+        '{"calibrated": {"total_time_seconds": 0, "energy_joules": 1.0}}')
+    (tmp_path / "directory").mkdir()
+    return tmp_path
+
+
+BAD_INPUTS = {
+    "run-nodes-0": ["run", "--nodes", "0", "--block-size", "8"],
+    "run-block-size-0": ["run", "--nodes", "8", "--block-size", "0"],
+    "run-no-workload": ["run", "--block-size", "8"],
+    "run-config-directory": RUN + ["--config", "{tmp}/directory"],
+    "run-config-missing": RUN + ["--config", "{tmp}/missing.json"],
+    "run-out-directory": RUN + ["--out", "{tmp}/directory"],
+    "run-wavefront-violated": ["run", "--nodes", "8192", "--block-size", "256"],
+    "verify-nodes-0": ["verify", "--nodes", "0", "--block-size", "8"],
+    "verify-block-size-0": ["verify", "--nodes", "8", "--block-size", "0"],
+    "verify-no-nodes": ["verify", "--block-size", "8"],
+    "verify-trials-0": VERIFY[:5] + ["--trials", "0"],
+    "verify-density-2": VERIFY + ["--density", "2"],
+    "sweep-block-size-0": ["sweep", "--nodes", "64", "--block-size", "0",
+                           "--param", "channels", "--values", "4"],
+    "sweep-value-0": ["sweep", "--nodes", "64", "--block-size", "8",
+                      "--param", "block_size", "--values", "0,8"],
+    "sweep-no-nodes": ["sweep", "--block-size", "8", "--param", "channels",
+                       "--values", "4"],
+    "sweep-not-increasing": SWEEP[:-1] + ["8,4"],
+    "sweep-parallel": SWEEP + ["--parallel", "2"],
+    "project-zero": ["project", "--measured-seconds", "0", "--measured-n", "8",
+                     "--target-n", "16"],
+    "compare-report-directory": ["compare", "--report", "{tmp}/directory",
+                                 "--baseline-runtime", "1"],
+    "compare-report-missing": ["compare", "--report", "{tmp}/missing.json",
+                               "--baseline-runtime", "1"],
+    "compare-report-not-json": ["compare", "--report", "{tmp}/not_json.json",
+                                "--baseline-runtime", "1"],
+    "compare-report-incomplete": ["compare", "--report", "{tmp}/partial.json",
+                                  "--baseline-runtime", "1"],
+    "compare-report-zero-time": ["compare", "--report", "{tmp}/zero_time.json",
+                                 "--baseline-runtime", "1"],
+    "compare-runtime-0": ["compare", "--report", "{tmp}/partial.json",
+                          "--baseline-runtime", "0"],
+    "unknown-command": ["frobnicate"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_is_a_usage_error(argv, files, capsys):
+    code, _, err = invoke([a.format(tmp=files) for a in argv], capsys)
+    assert code == cli.EXIT_USAGE, err
+    assert "Traceback" not in err
+    assert err.strip()
+
+
+def test_verify_mismatch_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "fw_reference", lambda d: np.zeros_like(d))
+    code, out, err = invoke(VERIFY, capsys)
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert err.startswith("verify FAIL: trial 0")
+    assert "PASS" not in out
+
+
+def test_run_and_compare(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert invoke(RUN + ["--out", report], capsys)[0] == cli.EXIT_OK
+    modeled = json.loads(report.read_text())["modeled"]
+    assert modeled["utilization"]["max"] > 0
+    code, out, _ = invoke(["compare", "--report", report,
+                           "--baseline-runtime", "1"], capsys)
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["speedup"] > 0
+
+
+def test_verify_passes(capsys):
+    code, out, _ = invoke(VERIFY, capsys)
+    assert code == cli.EXIT_OK
+    assert out.startswith("verify PASS: 2 trials")
+
+
+def test_sweep(capsys):
+    code, out, _ = invoke(SWEEP, capsys)
+    assert code == cli.EXIT_OK
+    assert out.splitlines()[0].startswith("parameter,value,total_cycles")
+    assert len(out.splitlines()) == 3
+
+
+def test_sweep_over_n_needs_no_nodes(capsys):
+    code, out, _ = invoke(["sweep", "--block-size", "8", "--param", "n",
+                           "--values", "16,32"], capsys)
+    assert code == cli.EXIT_OK
+    assert len(out.splitlines()) == 3
+
+
+def test_project(capsys):
+    code, out, _ = invoke(["project", "--measured-seconds", "2", "--measured-n",
+                           "10", "--target-n", "20"], capsys)
+    assert code == cli.EXIT_OK
+    assert float(out) == 16.0

@@ -216,8 +216,9 @@ class TestBlocked:
     def test_single_tile_degenerate(self):
         d = build_distance_matrix(gen_synthetic(12, 0.5, seed=17))
         t = to_tile_major(d, 12)
-        out, trace = fw_blocked(t)
+        out = fw_blocked(t)
         assert np.array_equal(from_tile_major(out, 12), fw_reference(d))
+        trace = full_trace(t.m)
         assert len(trace) == 1
         assert trace[0].phase is TilePhase.PIVOT_FW
 
@@ -229,7 +230,7 @@ class TestBlocked:
         ]
         for seed, (n, density, b) in enumerate(cases):
             d = build_distance_matrix(gen_synthetic(n, density, seed=200 + seed))
-            out, _ = fw_blocked(to_tile_major(d, b))
+            out = fw_blocked(to_tile_major(d, b))
             assert np.array_equal(from_tile_major(out, n), fw_reference(d)), (
                 n, density, b,
             )
@@ -238,22 +239,21 @@ class TestBlocked:
         for seed, (n, b) in enumerate([(12, 4), (20, 5), (24, 8), (9, 2)]):
             d = build_distance_matrix(gen_synthetic(n, 0.5, seed=300 + seed))
             t = to_tile_major(d, b)
-            out, _ = fw_blocked(t)
+            out = fw_blocked(t)
             assert np.array_equal(out.tiles, naive_blocked(t))
 
     def test_huge_weights_saturate_consistently(self):
         d = build_distance_matrix(
             gen_synthetic(16, 0.6, weight_range=(2_000_000_000, 4_000_000_000), seed=18)
         )
-        out, _ = fw_blocked(to_tile_major(d, 4))
+        out = fw_blocked(to_tile_major(d, 4))
         assert np.array_equal(from_tile_major(out, 16), fw_reference(d))
 
     def test_trace_length_formula(self):
         for n, b in [(12, 4), (20, 5), (16, 16), (30, 8)]:
-            t = to_tile_major(build_distance_matrix(gen_synthetic(n, 0.5, seed=19)), b)
-            _, trace = fw_blocked(t)
-            assert len(trace) == trace_length(t.m)
-            assert trace_length(t.m) == t.m * (1 + 2 * (t.m - 1) + (t.m - 1) ** 2)
+            m = -(-n // b)
+            assert len(full_trace(m)) == trace_length(m)
+            assert trace_length(m) == m * (1 + 2 * (m - 1) + (m - 1) ** 2)
 
     def test_trace_record_invariants(self):
         m = 4
@@ -283,6 +283,6 @@ class TestBlocked:
 
     def test_blocked_idempotent_under_re_run(self):
         d = build_distance_matrix(gen_synthetic(20, 0.4, seed=21))
-        t1, _ = fw_blocked(to_tile_major(d, 5))
-        t2, _ = fw_blocked(t1)
+        t1 = fw_blocked(to_tile_major(d, 5))
+        t2 = fw_blocked(t1)
         assert t1 == t2

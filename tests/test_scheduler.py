@@ -17,10 +17,10 @@ from fwsim import (
     schedule_round,
     simulate,
     simulate_functional,
+    timeline,
     utilization_report,
 )
-from fwsim.errors import ConstraintViolation, GuardError, TimelineUnavailable
-from fwsim.scheduler import TIMELINE_ROUND_LIMIT
+from fwsim.errors import ConstraintViolation, GuardError
 
 
 def tilemap_for(cfg, m):
@@ -99,20 +99,15 @@ class TestInvariants:
                 assert s2 >= e1
 
     def test_resource_exclusivity(self):
-        cfg = default_config()
-        r = simulate(1024, 64, cfg)  # m=16
-        self.scan_exclusive(r.timeline)
+        self.scan_exclusive(timeline(1024, 64, default_config()))  # m=16
 
     def test_resource_exclusivity_oversubscribed(self):
         cfg = dataclasses.replace(default_config(), channels=1)
-        r = simulate(256, 16, cfg, enforce_wavefront=False)
-        self.scan_exclusive(r.timeline)
+        self.scan_exclusive(timeline(256, 16, cfg, enforce_wavefront=False))
 
     def test_dependency_soundness(self):
-        cfg = default_config()
-        r = simulate(512, 64, cfg)  # m=8
         rounds = defaultdict(list)
-        for e in r.timeline:
+        for e in timeline(512, 64, default_config()):  # m=8
             rounds[e.k].append(e)
         for k, events in rounds.items():
             kinds = events_by_kind(events)
@@ -130,11 +125,9 @@ class TestInvariants:
                     assert e.start_cycle >= sources_published
 
     def test_round_barriers(self):
-        cfg = default_config()
-        r = simulate(512, 64, cfg)
         end_of = defaultdict(int)
         start_of = defaultdict(lambda: 1 << 62)
-        for e in r.timeline:
+        for e in timeline(512, 64, default_config()):
             end_of[e.k] = max(end_of[e.k], e.end_cycle)
             start_of[e.k] = min(start_of[e.k], e.start_cycle)
         for k in range(1, 8):
@@ -142,14 +135,15 @@ class TestInvariants:
 
     def test_total_is_max_event_end(self):
         r = simulate(512, 64, default_config())
-        assert r.total_cycles == max(e.end_cycle for e in r.timeline)
+        events = timeline(512, 64, default_config())
+        assert r.total_cycles == max(e.end_cycle for e in events)
 
     def test_aggregate_counts_equal_event_sum(self):
         from fwsim.perf import OpCounts
 
         r = simulate(256, 32, default_config())
         total = OpCounts()
-        for e in r.timeline:
+        for e in timeline(256, 32, default_config()):
             total = total + e.counts
         assert total == r.counts
 
@@ -222,8 +216,7 @@ class TestWavefrontEnforcement:
             simulate(8192, 256, default_config())  # m=32 on 32 groups
 
     def test_relaxed_run_completes(self):
-        r = simulate(8192, 256, default_config(), enforce_wavefront=False,
-                     keep_timeline=False)
+        r = simulate(8192, 256, default_config(), enforce_wavefront=False)
         assert r.counts.minplus_ops == 8192**3
 
     def test_other_config_errors_still_raised_when_relaxed(self):
@@ -301,25 +294,12 @@ class TestUtilization:
         assert all(0.0 <= f <= 1.0 for f in util["per_bank_group"])
         assert 0.0 <= util["min"] <= util["mean"] <= util["max"] <= 1.0
 
-    def test_elided_timeline_unavailable(self, monkeypatch):
-        import fwsim.scheduler as sched
-
-        monkeypatch.setattr(sched, "TIMELINE_ROUND_LIMIT", 4)
-        r = simulate(80, 16, default_config(), enforce_wavefront=False)  # m=5
-        assert r.timeline is None
-        with pytest.raises(TimelineUnavailable):
-            utilization_report(r)
-
-    def test_elision_threshold(self, monkeypatch):
-        import fwsim.scheduler as sched
-
-        monkeypatch.setattr(sched, "TIMELINE_ROUND_LIMIT", 4)
-        cfg = default_config()
-        kept = simulate(64, 16, cfg)  # m=4: at the limit, kept
-        assert kept.timeline is not None
-        elided = simulate(80, 16, cfg, enforce_wavefront=False)  # m=5: elided
-        assert elided.timeline is None
-        assert TIMELINE_ROUND_LIMIT == 64  # shipped default
+    def test_reported_beyond_64_rounds(self):
+        # Utilization comes from the busy counters, at any number of rounds.
+        r = simulate(65 * 8, 8, default_config(), enforce_wavefront=False)
+        assert r.tiles_per_row == 65
+        util = utilization_report(r)
+        assert 0.0 < util["min"] <= util["mean"] <= util["max"] <= 1.0
 
 
 class TestBulkLoad:

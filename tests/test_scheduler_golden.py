@@ -1,0 +1,64 @@
+"""simulate() and timeline() against a golden captured from the scheduler
+before the kept/elided timeline fork was removed.
+
+scheduler_golden.json holds, per design point, the totals, op counts, energy,
+per-bank-group busy cycles, utilization summary, and the event count plus a
+sha256 over every event (one line per event, as event_line formats it).
+Points are m in {1, 2, 3, 5, 16, 32} tiles per row with n = m * b, b in
+{8, 64}, on four configs, all with the wavefront constraint relaxed.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+from fwsim import default_config, load_config, simulate, timeline, utilization_report
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = json.loads((Path(__file__).with_name("scheduler_golden.json")).read_text())
+
+
+def configs():
+    d = default_config()
+    return {
+        "default": d,
+        "calibrated": load_config(str(ROOT / "configs" / "calibrated_592s.json")),
+        "channels1": dataclasses.replace(d, channels=1),
+        "bulkload_no_overlap": dataclasses.replace(
+            d, pim=dataclasses.replace(d.pim, bulk_load_cycles=5000,
+                                       broadcast_overlap=False)),
+    }
+
+
+def event_line(e):
+    return (f"{e.kind.value}|{e.k}|{e.target}|{e.resource}|{e.start_cycle}|"
+            f"{e.end_cycle}|{tuple(vars(e.counts).values())}\n")
+
+
+def record(r, events):
+    digest = hashlib.sha256()
+    for e in events:
+        digest.update(event_line(e).encode())
+    u = utilization_report(r)
+    return {
+        "total_cycles": r.total_cycles, "total_time_ps": r.total_time_ps,
+        "bulk_load_cycles": r.bulk_load_cycles,
+        "counts": dataclasses.asdict(r.counts), "energy": r.energy.as_dict(),
+        "busy": r.per_bank_group_busy,
+        "utilization": {k: u[k] for k in ("max", "min", "mean")},
+        "events": len(events), "events_sha256": digest.hexdigest(),
+    }
+
+
+def test_simulate_and_timeline_reproduce_golden():
+    got = {}
+    for name, cfg in configs().items():
+        for m in (1, 2, 3, 5, 16, 32):
+            for b in (8, 64):
+                r = simulate(m * b, b, cfg, enforce_wavefront=False)
+                events = timeline(m * b, b, cfg, enforce_wavefront=False)
+                got[f"{name}/m{m}/b{b}"] = record(r, events)
+    assert got.keys() == GOLDEN.keys()
+    for key, expected in GOLDEN.items():
+        assert got[key] == expected, key
