@@ -265,9 +265,6 @@ def cmd_compare(args) -> int:
 
 
 def _add_workload_flags(p, verify=False):
-    p.add_argument("--graph", help="edge-list file (u v [w], '#' comments)")
-    p.add_argument("--undirected", action="store_true",
-                   help="treat the edge list as undirected")
     p.add_argument("--nodes", type=int, help="synthetic workload size N")
     p.add_argument("--block-size", type=int, required=True, help="tile dimension B")
     p.add_argument("--config", default="default",
@@ -292,6 +289,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one workload, emit a JSON report")
     _add_workload_flags(p_run)
+    p_run.add_argument("--graph", help="edge-list file (u v [w], '#' comments)")
+    p_run.add_argument("--undirected", action="store_true",
+                       help="treat the edge list as undirected")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check the blocked result against the reference")

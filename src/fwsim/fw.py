@@ -1,9 +1,12 @@
-"""Bit-exact Floyd-Warshall: scalar min-plus kernel, the O(N^3) reference,
-the blocked variant, and the per-round tile operations that the timing
-scheduler schedules.
+"""Bit-exact Floyd-Warshall: the scalar min-plus relaxation, the in-place
+tile kernel that every array path runs on, the O(N^3) reference, the blocked
+variant, and the per-round tile operations that the timing scheduler
+schedules.
 
 All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
-and any finite sum that would overflow 32 bits saturates to INF.
+and any finite sum that would overflow 32 bits saturates to INF. The kernel
+adds in uint64 and never clamps: every distance it relaxes is <= INF, so
+min(d, min(s, INF)) == min(d, s), and the minimum always fits back in uint32.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import numpy as np
 
 from .graphs import INF, TiledMatrix
 
-# Upper bound on uint64 scratch elements per chunk in the batched wavefront
-# update (keeps peak temporary memory around 32 MB).
+# Upper bound on elements per chunk of the batched wavefront update: the
+# uint32 block plus the kernel's uint64 scratch of the same shape keep peak
+# temporary memory around 48 MB.
 _CHUNK_ELEMS = 4_000_000
 
 
@@ -52,10 +56,17 @@ def saturating_add(a, b) -> np.ndarray:
     return np.minimum(s, INF).astype(np.uint32)
 
 
-def _relax(target: np.ndarray, left, right) -> None:
-    # target = min(target, left + right), saturating, in place
-    s = np.add(left, right, dtype=np.uint64)
-    np.minimum(target, np.minimum(s, INF).astype(np.uint32), out=target)
+def _minplus(out: np.ndarray, left, right) -> None:
+    """out = min(out, left (x) right) in place, over a stack of b x b tiles.
+
+    One inner index t at a time, ascending: out[..., r, c] is relaxed with
+    left[..., r, t] + right[..., t, c]. The sum for step t is formed in full
+    before out is written, so left and right may alias out.
+    """
+    tmp = np.empty(out.shape, dtype=np.uint64)
+    for t in range(left.shape[-1]):
+        np.add(left[..., :, t, None], right[..., t, None, :], out=tmp, dtype=np.uint64)
+        np.minimum(out, tmp, out=out, casting="unsafe")
 
 
 def fw_reference(d: np.ndarray) -> np.ndarray:
@@ -65,17 +76,7 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
     if d.shape != (n, n):
         raise ValueError("distance matrix must be square")
     out = d.astype(np.uint32, copy=True)
-    for k in range(n):
-        _relax(out, out[:, k, None], out[k, None, :])
-    return out
-
-
-def tile_fw(a_kk: np.ndarray) -> np.ndarray:
-    """In-tile Floyd-Warshall over all local pivots of one square tile."""
-    b = a_kk.shape[0]
-    out = a_kk.astype(np.uint32, copy=True)
-    for t in range(b):
-        _relax(out, out[:, t, None], out[t, None, :])
+    _minplus(out, out, out)
     return out
 
 
@@ -87,9 +88,7 @@ def tile_minplus_update(a_ij: np.ndarray, a_ik: np.ndarray, a_kj: np.ndarray) ->
     the inputs are read as snapshots even when a_kj aliases a_ij.
     """
     out = a_ij.astype(np.uint32, copy=True)
-    b = out.shape[0]
-    for t in range(b):
-        _relax(out, a_ik[:, t, None], a_kj[t, None, :])
+    _minplus(out, a_ik, a_kj)
     return out
 
 
@@ -121,48 +120,6 @@ def trace_length(m: int) -> int:
     return m * (1 + 2 * (m - 1) + (m - 1) ** 2)
 
 
-def _update_pivot_rows(tiles: np.ndarray, k: int, others: list[int]) -> None:
-    # A[k][j] = min(A[k][j], A[k][k] (+) A[k][j]) for all j != k, batched.
-    pivot = tiles[k, k]
-    stack = tiles[k, others]              # (p, b, b) copy via fancy indexing
-    snap = stack.copy()
-    b = pivot.shape[0]
-    for t in range(b):
-        _relax(stack, pivot[None, :, t, None], snap[:, t, None, :])
-    tiles[k, others] = stack
-
-
-def _update_pivot_cols(tiles: np.ndarray, k: int, others: list[int]) -> None:
-    # A[i][k] = min(A[i][k], A[i][k] (+) A[k][k]) for all i != k, batched.
-    pivot = tiles[k, k]
-    stack = tiles[others, k]
-    snap = stack.copy()
-    b = pivot.shape[0]
-    for t in range(b):
-        _relax(stack, snap[:, :, t, None], pivot[None, t, None, :])
-    tiles[others, k] = stack
-
-
-def _update_remaining(tiles: np.ndarray, k: int, others: list[int]) -> None:
-    # A[i][j] = min(A[i][j], A[i][k] (+) A[k][j]), batched over the wavefront,
-    # chunked along i to bound temporary memory.
-    b = tiles.shape[-1]
-    col = tiles[others, k]                # (p, b, b), already updated
-    row = tiles[k, others]                # (p, b, b), already updated
-    p = len(others)
-    rows_per_chunk = max(1, _CHUNK_ELEMS // max(1, p * b * b))
-    for lo in range(0, p, rows_per_chunk):
-        hi = min(p, lo + rows_per_chunk)
-        block = tiles[np.ix_(others[lo:hi], others)]   # (q, p, b, b) copy
-        for t in range(b):
-            _relax(
-                block,
-                col[lo:hi, None, :, t, None],
-                row[None, :, t, None, :],
-            )
-        tiles[np.ix_(others[lo:hi], others)] = block
-
-
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     """Blocked Floyd-Warshall over a tiled matrix.
 
@@ -173,10 +130,24 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     """
     tiles = t.tiles.copy()
     for k in range(t.m):
-        tiles[k, k] = tile_fw(tiles[k, k])
+        pivot = tiles[k, k]
+        _minplus(pivot, pivot, pivot)
         others = [i for i in range(t.m) if i != k]
-        if others:
-            _update_pivot_rows(tiles, k, others)
-            _update_pivot_cols(tiles, k, others)
-            _update_remaining(tiles, k, others)
+        if not others:
+            continue
+        # Row and column stacks are fancy-indexed copies, relaxed against a
+        # snapshot of themselves and written back.
+        row = tiles[k, others]
+        _minplus(row, pivot[None], row.copy())
+        tiles[k, others] = row
+        col = tiles[others, k]
+        _minplus(col, col.copy(), pivot[None])
+        tiles[others, k] = col
+        # The wavefront, chunked along i to bound temporary memory.
+        step = max(1, _CHUNK_ELEMS // (len(others) * t.b * t.b))
+        for lo in range(0, len(others), step):
+            chunk = np.ix_(others[lo:lo + step], others)
+            block = tiles[chunk]
+            _minplus(block, col[lo:lo + step, None], row[None])
+            tiles[chunk] = block
     return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=tiles)

@@ -228,6 +228,23 @@ def config_to_dict(cfg: HbmConfig) -> dict:
     return out
 
 
+# JSON value types each field type accepts. bool is an int in Python, so it is
+# excluded from int and float fields and is the only type a bool field takes.
+_ACCEPTED = {"int": int, "float": (int, float), "bool": bool}
+
+
+def _typed(raw: dict, keymap: dict, cls, prefix: str = "") -> dict:
+    """Map JSON keys to field names, checking each value against its field's type."""
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in raw.items():
+        kind = kinds[keymap[key]]
+        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _ACCEPTED[kind]):
+            raise ConfigError(f"config key {prefix + key!r} must be {kind}, got {value!r}")
+        kwargs[keymap[key]] = value
+    return kwargs
+
+
 def _section(data: dict, name: str, keymap: dict, cls):
     raw = data.get(name, {})
     if not isinstance(raw, dict):
@@ -235,11 +252,12 @@ def _section(data: dict, name: str, keymap: dict, cls):
     unknown = set(raw) - set(keymap)
     if unknown:
         raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-    return cls(**{keymap[k]: v for k, v in raw.items()})
+    return cls(**_typed(raw, keymap, cls, f"{name}."))
 
 
 def config_from_dict(data: dict) -> HbmConfig:
-    """Build a config from a (possibly partial) dict; unknown keys rejected.
+    """Build a config from a (possibly partial) dict; unknown keys and values
+    of the wrong type are rejected.
 
     Missing keys fall back to the defaults, so calibration files only need to
     state the constants they override.
@@ -249,14 +267,11 @@ def config_from_dict(data: dict) -> HbmConfig:
     unknown = set(data) - set(_TOP_KEYS) - {"timing", "energy", "pim"}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {attr: data[json_key] for json_key, attr in _TOP_KEYS.items() if json_key in data}
+    kwargs = _typed({k: v for k, v in data.items() if k in _TOP_KEYS}, _TOP_KEYS, HbmConfig)
     kwargs["timing"] = _section(data, "timing", _TIMING_KEYS, TimingParams)
     kwargs["energy"] = _section(data, "energy", _ENERGY_KEYS, EnergyParams)
     kwargs["pim"] = _section(data, "pim", _PIM_KEYS, PimParams)
-    try:
-        return HbmConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+    return HbmConfig(**kwargs)
 
 
 def load_config(source: str) -> HbmConfig:

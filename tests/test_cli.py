@@ -26,6 +26,7 @@ def files(tmp_path):
     (tmp_path / "partial.json").write_text('{"calibrated": {}}')
     (tmp_path / "zero_time.json").write_text(
         '{"calibrated": {"total_time_seconds": 0, "energy_joules": 1.0}}')
+    (tmp_path / "wrong_type.json").write_text('{"channels": "8"}')
     (tmp_path / "directory").mkdir()
     return tmp_path
 
@@ -36,6 +37,7 @@ BAD_INPUTS = {
     "run-no-workload": ["run", "--block-size", "8"],
     "run-config-directory": RUN + ["--config", "{tmp}/directory"],
     "run-config-missing": RUN + ["--config", "{tmp}/missing.json"],
+    "run-config-wrong-type": RUN + ["--config", "{tmp}/wrong_type.json"],
     "run-out-directory": RUN + ["--out", "{tmp}/directory"],
     "run-wavefront-violated": ["run", "--nodes", "8192", "--block-size", "256"],
     "verify-nodes-0": ["verify", "--nodes", "0", "--block-size", "8"],
@@ -43,6 +45,8 @@ BAD_INPUTS = {
     "verify-no-nodes": ["verify", "--block-size", "8"],
     "verify-trials-0": VERIFY[:5] + ["--trials", "0"],
     "verify-density-2": VERIFY + ["--density", "2"],
+    "verify-graph": VERIFY + ["--graph", "{tmp}/missing.txt"],
+    "verify-undirected": VERIFY + ["--undirected"],
     "sweep-block-size-0": ["sweep", "--nodes", "64", "--block-size", "0",
                            "--param", "channels", "--values", "4"],
     "sweep-value-0": ["sweep", "--nodes", "64", "--block-size", "8",
@@ -51,6 +55,8 @@ BAD_INPUTS = {
                        "--values", "4"],
     "sweep-not-increasing": SWEEP[:-1] + ["8,4"],
     "sweep-parallel": SWEEP + ["--parallel", "2"],
+    "sweep-graph": SWEEP + ["--graph", "{tmp}/missing.txt"],
+    "sweep-undirected": SWEEP + ["--undirected"],
     "project-zero": ["project", "--measured-seconds", "0", "--measured-n", "8",
                      "--target-n", "16"],
     "compare-report-directory": ["compare", "--report", "{tmp}/directory",

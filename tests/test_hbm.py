@@ -160,6 +160,25 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             config_from_dict({"pim": {"passes": 2}})
 
+    @pytest.mark.parametrize("doc", [
+        {"channels": "8"},
+        {"channels": True},
+        {"channels": 8.0},
+        {"timing": {"t_rc_ns": "30"}},
+        {"timing": {"t_rc_ns": False}},
+        {"energy": {"e_activate_pj": None}},
+        {"pim": {"broadcast_overlap": "no"}},
+        {"pim": {"broadcast_overlap": 0}},
+    ], ids=repr)
+    def test_value_of_wrong_type_rejected(self, doc):
+        with pytest.raises(ConfigError, match="must be"):
+            config_from_dict(doc)
+
+    def test_float_field_takes_int(self):
+        cfg = config_from_dict({"timing": {"t_rc_ns": 31}, "energy": {"e_tsv_bit_pj": 1}})
+        assert cfg.timing.t_rc == 31
+        assert cfg.energy.e_tsv_bit_pj == 1
+
     def test_units_annotated_in_field_names(self):
         doc = config_to_dict(default_config())
         assert "t_rc_ns" in doc["timing"]
