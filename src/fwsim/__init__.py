@@ -5,17 +5,13 @@ __version__ = "0.1.0"
 
 from .graphs import (
     INF,
-    EdgeList,
-    TiledMatrix,
     build_distance_matrix,
     from_tile_major,
     gen_synthetic,
-    load_edge_list,
     parse_edge_list,
     to_tile_major,
 )
 from .fw import (
-    TileOpRecord,
     TilePhase,
     fw_blocked,
     fw_reference,
@@ -25,30 +21,22 @@ from .fw import (
 )
 from .hbm import (
     HbmConfig,
-    TileMap,
     default_config,
     load_config,
     map_tile_to_bank_group,
-    tiles_on_bank_group,
     validate_config,
 )
 from .perf import (
-    CostQuote,
-    EnergyBreakdown,
     OpCounts,
     bpe_minplus_cycles,
     broadcast_cost,
     cpe_reduction_cost,
     energy_of,
-    pivot_tile_cost,
     tile_row_pass_cost,
     tile_update_cost,
 )
 from .scheduler import (
     EventKind,
-    PhaseEvent,
-    SimResult,
-    schedule_round,
     simulate,
     simulate_functional,
     timeline,
@@ -57,22 +45,13 @@ from .scheduler import (
 
 __all__ = [
     "INF",
-    "EdgeList",
-    "TiledMatrix",
-    "TileOpRecord",
     "TilePhase",
     "HbmConfig",
-    "TileMap",
-    "CostQuote",
-    "EnergyBreakdown",
     "OpCounts",
     "EventKind",
-    "PhaseEvent",
-    "SimResult",
     "build_distance_matrix",
     "from_tile_major",
     "gen_synthetic",
-    "load_edge_list",
     "parse_edge_list",
     "to_tile_major",
     "fw_blocked",
@@ -83,16 +62,13 @@ __all__ = [
     "default_config",
     "load_config",
     "map_tile_to_bank_group",
-    "tiles_on_bank_group",
     "validate_config",
     "bpe_minplus_cycles",
     "broadcast_cost",
     "cpe_reduction_cost",
     "energy_of",
-    "pivot_tile_cost",
     "tile_row_pass_cost",
     "tile_update_cost",
-    "schedule_round",
     "simulate",
     "simulate_functional",
     "timeline",

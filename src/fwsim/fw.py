@@ -115,11 +115,6 @@ def full_trace(m: int) -> list[TileOpRecord]:
     return trace
 
 
-def trace_length(m: int) -> int:
-    """Number of tile operations for m tiles per row: m*(1 + 2(m-1) + (m-1)^2)."""
-    return m * (1 + 2 * (m - 1) + (m - 1) ** 2)
-
-
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     """Blocked Floyd-Warshall over a tiled matrix.
 

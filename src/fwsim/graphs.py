@@ -206,38 +206,3 @@ def from_tile_major(t: TiledMatrix, original_n: int) -> np.ndarray:
         )
     flat = t.tiles.swapaxes(1, 2).reshape(t.n, t.n)
     return flat[:original_n, :original_n].copy()
-
-
-def write_matrix_csv(d: np.ndarray, stream) -> None:
-    """Debug dump: one row per line, 'INF' literal for the sentinel."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "w", encoding="utf-8")
-        close = True
-    try:
-        for row in d:
-            stream.write(
-                ",".join("INF" if v == INF else str(int(v)) for v in row) + "\n"
-            )
-    finally:
-        if close:
-            stream.close()
-
-
-def read_matrix_csv(stream) -> np.ndarray:
-    """Inverse of write_matrix_csv."""
-    close = False
-    if isinstance(stream, (str, bytes)):
-        stream = open(stream, "r", encoding="utf-8")
-        close = True
-    try:
-        rows = []
-        for line in stream:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([INF if f == "INF" else int(f) for f in line.split(",")])
-        return np.array(rows, dtype=np.uint32)
-    finally:
-        if close:
-            stream.close()

@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, ConstraintViolation
+
+# Bank-groups a config may declare (channels * bank_groups_per_channel): the
+# scheduler keeps per-group state. The modeled 8-channel stack has 32.
+MAX_BANK_GROUPS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -22,13 +27,7 @@ class TimingParams:
     t_rc: float = 30.0     # row cycle: minimum interval between activations of a bank
     t_rcd: float = 8.0     # activate to column command
     t_ras: float = 24.0    # minimum row-active time
-    t_rrd: float = 2.0     # activate-to-activate, different banks
     t_wr: float = 12.0     # write recovery
-    t_ccds: float = 2.0    # column-to-column, different bank-group (carried, unused by the analytic model)
-    t_ccdl: float = 4.0    # column-to-column, same bank-group (carried, unused by the analytic model)
-
-    def ps(self, name: str) -> int:
-        return round(getattr(self, name) * 1000)
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,6 @@ class PimParams:
     # Overlap steady-state pivot-vector broadcasts with compute of the
     # previous inner-product step (one-deep pipeline).
     broadcast_overlap: bool = True
-    # Emit one channel-PE reduction per tile-update completion signal.
-    cpe_reduce_per_tile: bool = True
     # Host bulk load of the tile-major matrix, charged once up front and
     # reported separately. Default 0: not modeled.
     bulk_load_cycles: int = 0
@@ -84,10 +81,7 @@ class HbmConfig:
     bank_groups_per_channel: int = 4
     banks_per_bank_group: int = 16
     bpes_per_bank: int = 16
-    row_bits: int = 8192          # bits latched per row activation
     dq_bits: int = 1024           # TSV lanes: bits moved per bus beat
-    rows_per_bank: int = 32768    # capacity checks only
-    stack_height: int = 4         # capacity checks only
     clock_period_ps: int = 1000   # one PIM/DRAM logic cycle
     timing: TimingParams = field(default_factory=TimingParams)
     energy: EnergyParams = field(default_factory=EnergyParams)
@@ -109,7 +103,7 @@ class HbmConfig:
 
 def default_config() -> HbmConfig:
     """The baseline stack: 8 channels x 4 bank-groups, 256 PEs per bank-group
-    (16 banks x 16 PEs), 8192-bit rows, 1024 TSV lanes, 1 ns logic cycle."""
+    (16 banks x 16 PEs), 1024 TSV lanes, 1 ns logic cycle."""
     return HbmConfig()
 
 
@@ -122,24 +116,25 @@ def validate_config(cfg: HbmConfig, tiles_per_row: int) -> None:
     """
     c = cfg
     for name in ("channels", "bank_groups_per_channel", "banks_per_bank_group",
-                 "bpes_per_bank", "row_bits", "dq_bits", "rows_per_bank",
-                 "stack_height", "clock_period_ps"):
+                 "bpes_per_bank", "dq_bits", "clock_period_ps"):
         if getattr(c, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(c, name)}")
-    if c.row_bits % 32 != 0 or c.row_bits < 32:
-        raise ConfigError(f"row_bits must be a positive multiple of 32, got {c.row_bits}")
+    if c.total_bank_groups > MAX_BANK_GROUPS:
+        raise ConfigError(f"channels * bank_groups_per_channel must be <= "
+                          f"{MAX_BANK_GROUPS}, got {c.total_bank_groups}")
+    # Every float is scaled by 1000 (ns to ps, pJ to fJ) and rounded to an int,
+    # so NaN, infinity and values whose scaled form overflows are rejected.
+    for prefix, section in (("timing", c.timing), ("energy", c.energy)):
+        for f in dataclasses.fields(section):
+            value = getattr(section, f.name)
+            if not (value >= 0 and math.isfinite(value * 1000)):
+                raise ConfigError(
+                    f"{prefix}.{f.name} must be finite and non-negative, got {value}")
     t = c.timing
-    for name in ("t_rc", "t_rcd", "t_ras", "t_rrd", "t_wr", "t_ccds", "t_ccdl"):
-        if getattr(t, name) < 0:
-            raise ConfigError(f"timing.{name} must be non-negative")
     if t.t_ras > t.t_rc:
         raise ConfigError(f"t_ras ({t.t_ras}) must not exceed t_rc ({t.t_rc})")
     if t.t_rcd > t.t_ras:
         raise ConfigError(f"t_rcd ({t.t_rcd}) must not exceed t_ras ({t.t_ras})")
-    for name in ("e_activate_pj", "e_read_bit_pj", "e_write_bit_pj",
-                 "e_bpe_cycle_pj", "e_cpe_cycle_pj", "e_tsv_bit_pj"):
-        if getattr(c.energy, name) < 0:
-            raise ConfigError(f"energy.{name} must be non-negative")
     p = c.pim
     if p.operand_bits < 1 or p.add_passes < 1:
         raise ConfigError("pim.operand_bits and pim.add_passes must be >= 1")
@@ -164,56 +159,10 @@ def map_tile_to_bank_group(i: int, j: int, m: int, c: int, g: int) -> int:
     return (i * m + j) % (c * g)
 
 
-def tiles_on_bank_group(bg: int, m: int, c: int, g: int) -> list[tuple[int, int]]:
-    """All tiles the interleaved map assigns to bank-group bg, row-major."""
-    if not (0 <= bg < c * g):
-        raise IndexError(f"bank-group {bg} out of range for {c * g} groups")
-    return [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if (i * m + j) % (c * g) == bg
-    ]
-
-
-@dataclass(frozen=True)
-class TileMap:
-    """The static tile-to-bank-group assignment for one workload."""
-
-    m: int
-    channels: int
-    groups_per_channel: int
-
-    @property
-    def total_bank_groups(self) -> int:
-        return self.channels * self.groups_per_channel
-
-    def bank_group(self, i: int, j: int) -> int:
-        return map_tile_to_bank_group(i, j, self.m, self.channels, self.groups_per_channel)
-
-    def channel_of(self, bg: int) -> int:
-        return bg // self.groups_per_channel
-
-    def group_within_channel(self, bg: int) -> int:
-        return bg % self.groups_per_channel
-
-    def tiles_on(self, bg: int) -> list[tuple[int, int]]:
-        return tiles_on_bank_group(bg, self.m, self.channels, self.groups_per_channel)
-
-
 # --- JSON config files -----------------------------------------------------
 
-_TOP_KEYS = {
-    "channels": "channels",
-    "bank_groups_per_channel": "bank_groups_per_channel",
-    "banks_per_bank_group": "banks_per_bank_group",
-    "bpes_per_bank": "bpes_per_bank",
-    "row_bits": "row_bits",
-    "dq_bits": "dq_bits",
-    "rows_per_bank": "rows_per_bank",
-    "stack_height": "stack_height",
-    "clock_period_ps": "clock_period_ps",
-}
+_SECTIONS = ("timing", "energy", "pim")
+_TOP_KEYS = {f.name: f.name for f in dataclasses.fields(HbmConfig) if f.name not in _SECTIONS}
 _TIMING_KEYS = {f"{f.name}_ns": f.name for f in dataclasses.fields(TimingParams)}
 _ENERGY_KEYS = {f.name: f.name for f in dataclasses.fields(EnergyParams)}
 _PIM_KEYS = {f.name: f.name for f in dataclasses.fields(PimParams)}
@@ -264,7 +213,7 @@ def config_from_dict(data: dict) -> HbmConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(data) - set(_TOP_KEYS) - {"timing", "energy", "pim"}
+    unknown = set(data) - set(_TOP_KEYS) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = _typed({k: v for k, v in data.items() if k in _TOP_KEYS}, _TOP_KEYS, HbmConfig)

@@ -118,14 +118,6 @@ def tile_update_cost(b: int, cfg: HbmConfig) -> CostQuote:
     return CostQuote(cycles=b * b * row.cycles, counts=row.counts.scaled(b * b))
 
 
-def pivot_tile_cost(b: int, cfg: HbmConfig) -> CostQuote:
-    """In-tile Floyd-Warshall over the pivot: b dependent iterations of b
-    row-passes. The k-dependency forces full serialization, which is exactly
-    the serialization a tile update already has on one group, so the quote
-    matches tile_update_cost."""
-    return tile_update_cost(b, cfg)
-
-
 def cpe_reduction_cost(fan_in: int, cfg: HbmConfig) -> CostQuote:
     """Channel-PE comparison tree across fan_in inputs."""
     if fan_in < 1:

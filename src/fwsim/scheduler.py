@@ -23,14 +23,13 @@ import numpy as np
 from .errors import ConfigError, ConstraintViolation, GuardError
 from .fw import TilePhase, fw_blocked, round_records
 from .graphs import from_tile_major, to_tile_major
-from .hbm import HbmConfig, TileMap, validate_config
+from .hbm import HbmConfig, map_tile_to_bank_group, validate_config
 from .perf import (
     OpCounts,
     ZERO_COUNTS,
     broadcast_cost,
     cpe_reduction_cost,
     energy_of,
-    pivot_tile_cost,
     tile_row_pass_cost,
     tile_update_cost,
 )
@@ -88,11 +87,10 @@ class _Builder:
     """Mutable scheduling state for one run: aggregate counters, plus the
     event list when events is a list (None aggregates only)."""
 
-    def __init__(self, tilemap: TileMap, events: list[PhaseEvent] | None):
-        self.tilemap = tilemap
+    def __init__(self, total_bank_groups: int, events: list[PhaseEvent] | None):
         self.events = events
         self.counts = ZERO_COUNTS
-        self.busy = [0] * tilemap.total_bank_groups
+        self.busy = [0] * total_bank_groups
         self.max_end = 0
 
     def emit(self, kind, k, target, resource, start, cycles, counts) -> int:
@@ -126,36 +124,23 @@ def _tile_event_cycles(b: int, step_cycles: int, vec_cycles: int, overlap: bool)
     return b * (step_cycles + vec_cycles)
 
 
-def schedule_round(
-    k: int,
-    m: int,
-    b: int,
-    tilemap: TileMap,
-    cfg: HbmConfig,
-    round_start: int = 0,
-) -> list[PhaseEvent]:
-    """The events of pivot round k, starting no earlier than round_start."""
-    builder = _Builder(tilemap, [])
-    _emit_round(builder, k, m, b, cfg, round_start)
-    return builder.events
-
-
 def _emit_round(builder: _Builder, k: int, m: int, b: int, cfg: HbmConfig,
-                round_start: int) -> None:
-    """Emit the events of pivot round k into builder."""
-    tilemap = builder.tilemap
-    pim = cfg.pim
+                round_start: int, bank_group: dict) -> None:
+    """Emit the events of pivot round k, starting no earlier than round_start.
+    bank_group maps each tile to the bank-group that holds it."""
+    g = cfg.bank_groups_per_channel
     records = round_records(k, m)
-    pivot_bg = tilemap.bank_group(k, k)
+    pivot_bg = bank_group[k, k]
 
-    pivot = pivot_tile_cost(b, cfg)
+    # The pivot's in-tile FW is b dependent steps of b row-passes: the same
+    # serialization as a tile update, so it is charged the same quote.
     update = tile_update_cost(b, cfg)
     step_cycles = b * tile_row_pass_cost(b, cfg).cycles
-    overlap = pim.broadcast_overlap
+    overlap = cfg.pim.broadcast_overlap
 
     pivot_end = builder.emit(
         EventKind.PIVOT_FW, k, (k, k), f"bg:{pivot_bg}",
-        round_start, pivot.cycles, pivot.counts,
+        round_start, update.cycles, update.counts,
     )
 
     p2 = [r for r in records if r.phase in (TilePhase.PIVOT_ROW, TilePhase.PIVOT_COL)]
@@ -168,17 +153,21 @@ def _emit_round(builder: _Builder, k: int, m: int, b: int, cfg: HbmConfig,
     group_free: dict[int, int] = {}
 
     # Stage the pivot's first vector at every pivot-row/column holder.
-    p2_groups = sorted({tilemap.bank_group(*r.target) for r in p2})
+    p2_groups = sorted({bank_group[r.target] for r in p2})
     fill = broadcast_cost(pivot_bg, p2_groups, b, cfg)
     bcast_end = builder.emit(
         EventKind.BROADCAST, k, (k, k), "tsv",
         max(pivot_end, tsv_free), fill.cycles, fill.counts,
     )
     tsv_free = bcast_end
-    cpe = cpe_reduction_cost(cfg.bank_groups_per_channel, cfg)
+    cpe = cpe_reduction_cost(g, cfg)
 
-    def run_update(record, kind, start_floor, vec_quotes):
-        bg = tilemap.bank_group(*record.target)
+    def run_update(record, kind, start_floor):
+        """Schedule one tile update, fed one pivot vector per step from each
+        source other than the target, and its channel-PE reduction."""
+        bg = bank_group[record.target]
+        vec_quotes = [_vector_quote(bank_group[src], bg, b, cfg)
+                      for src in record.sources if src != record.target]
         vec_cycles = sum(q.cycles for q in vec_quotes)
         stream = ZERO_COUNTS
         for q in vec_quotes:
@@ -190,29 +179,26 @@ def _emit_round(builder: _Builder, k: int, m: int, b: int, cfg: HbmConfig,
             update.counts + stream,
         )
         group_free[bg] = end
-        if pim.cpe_reduce_per_tile:
-            ch = tilemap.channel_of(bg)
-            cstart = max(end, chan_free.get(ch, round_start))
-            chan_free[ch] = builder.emit(
-                EventKind.CPE_REDUCE, k, record.target, f"ch:{ch}",
-                cstart, cpe.cycles, cpe.counts,
-            )
-        return end
+        ch = bg // g
+        cstart = max(end, chan_free.get(ch, round_start))
+        chan_free[ch] = builder.emit(
+            EventKind.CPE_REDUCE, k, record.target, f"ch:{ch}",
+            cstart, cpe.cycles, cpe.counts,
+        )
+        return bg, end
 
     # Phase 2: pivot-row and pivot-column tiles, concurrent across groups.
     p2_barrier = bcast_end
     for r in p2:
-        bg = tilemap.bank_group(*r.target)
-        vec = _vector_quote(pivot_bg, bg, b, cfg)
-        end = run_update(r, EventKind.ROW_COL_UPDATE, bcast_end, [vec])
+        bg, end = run_update(r, EventKind.ROW_COL_UPDATE, bcast_end)
         p2_barrier = max(p2_barrier, end)
         if p3:
             # Stage this tile's first result vector at its wavefront consumers.
             ti, tj = r.target
             if r.phase is TilePhase.PIVOT_ROW:
-                consumers = {tilemap.bank_group(i, tj) for i in range(m) if i != k}
+                consumers = {bank_group[i, tj] for i in range(m) if i != k}
             else:
-                consumers = {tilemap.bank_group(ti, j) for j in range(m) if j != k}
+                consumers = {bank_group[ti, j] for j in range(m) if j != k}
             f = broadcast_cost(bg, sorted(consumers), b, cfg)
             tsv_free = builder.emit(
                 EventKind.BROADCAST, k, r.target, "tsv",
@@ -222,11 +208,7 @@ def _emit_round(builder: _Builder, k: int, m: int, b: int, cfg: HbmConfig,
 
     # Phase 3: the remaining-tile wavefront, after every source is published.
     for r in p3:
-        (i, j) = r.target
-        bg = tilemap.bank_group(i, j)
-        vec_ik = _vector_quote(tilemap.bank_group(i, k), bg, b, cfg)
-        vec_kj = _vector_quote(tilemap.bank_group(k, j), bg, b, cfg)
-        run_update(r, EventKind.REMAINING_UPDATE, p2_barrier, [vec_ik, vec_kj])
+        run_update(r, EventKind.REMAINING_UPDATE, p2_barrier)
 
 
 def tiles_per_row(n: int, b: int) -> int:
@@ -245,9 +227,10 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     except ConstraintViolation:
         if enforce_wavefront:
             raise
-    tilemap = TileMap(m=m, channels=cfg.channels,
-                      groups_per_channel=cfg.bank_groups_per_channel)
-    builder = _Builder(tilemap, events)
+    builder = _Builder(cfg.total_bank_groups, events)
+    bank_group = {(i, j): map_tile_to_bank_group(i, j, m, cfg.channels,
+                                                 cfg.bank_groups_per_channel)
+                  for i in range(m) for j in range(m)}
     start = 0
     if cfg.pim.bulk_load_cycles > 0:
         load_bits = (m * b) * (m * b) * cfg.pim.operand_bits
@@ -256,7 +239,7 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
             cfg.pim.bulk_load_cycles, OpCounts(tsv_bits=load_bits),
         )
     for k in range(m):
-        _emit_round(builder, k, m, b, cfg, start)
+        _emit_round(builder, k, m, b, cfg, start, bank_group)
         start = builder.max_end
     return builder
 
@@ -273,7 +256,7 @@ def simulate(n: int, b: int, cfg: HbmConfig, *,
     return SimResult(
         n=n,
         block_size=b,
-        tiles_per_row=builder.tilemap.m,
+        tiles_per_row=tiles_per_row(n, b),
         total_cycles=total,
         total_time_ps=total * cfg.clock_period_ps,
         bulk_load_cycles=cfg.pim.bulk_load_cycles,

@@ -27,9 +27,21 @@ def files(tmp_path):
     (tmp_path / "zero_time.json").write_text(
         '{"calibrated": {"total_time_seconds": 0, "energy_joules": 1.0}}')
     (tmp_path / "wrong_type.json").write_text('{"channels": "8"}')
+    for name, doc in CONFIG_DOCS.items():
+        (tmp_path / f"{name}.json").write_text(doc)
     (tmp_path / "directory").mkdir()
     return tmp_path
 
+
+# Config documents of the right JSON types that validation must still reject.
+CONFIG_DOCS = {
+    "t-rc-overflow": '{"timing": {"t_rc_ns": 1e400}}',
+    "e-tsv-overflow": '{"energy": {"e_tsv_bit_pj": 1e400}}',
+    "t-rc-nan": '{"timing": {"t_rc_ns": NaN}}',
+    "channels-huge": '{"channels": 99999999999999999999}',
+    "channels-1e9": '{"channels": 1000000000}',
+    "removed-key": '{"row_bits": 8192}',
+}
 
 BAD_INPUTS = {
     "run-nodes-0": ["run", "--nodes", "0", "--block-size", "8"],
@@ -38,6 +50,8 @@ BAD_INPUTS = {
     "run-config-directory": RUN + ["--config", "{tmp}/directory"],
     "run-config-missing": RUN + ["--config", "{tmp}/missing.json"],
     "run-config-wrong-type": RUN + ["--config", "{tmp}/wrong_type.json"],
+    **{f"run-config-{name}": RUN + ["--config", f"{{tmp}}/{name}.json"]
+       for name in CONFIG_DOCS},
     "run-out-directory": RUN + ["--out", "{tmp}/directory"],
     "run-wavefront-violated": ["run", "--nodes", "8192", "--block-size", "256"],
     "verify-nodes-0": ["verify", "--nodes", "0", "--block-size", "8"],

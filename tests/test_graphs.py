@@ -15,7 +15,6 @@ from fwsim import (
     to_tile_major,
 )
 from fwsim.errors import ConfigError, ParseError
-from fwsim.graphs import read_matrix_csv, write_matrix_csv
 
 
 def edges_as_set(e):
@@ -199,13 +198,3 @@ class TestTiling:
             padded = t.tiles.swapaxes(1, 2).reshape(t.n, t.n)
             got = fw_reference(padded)[:n, :n]
             assert np.array_equal(got, fw_reference(d))
-
-
-class TestCsvDump:
-    def test_round_trip_with_inf_literal(self, tmp_path):
-        d = build_distance_matrix(gen_synthetic(6, 0.4, seed=11))
-        path = tmp_path / "m.csv"
-        write_matrix_csv(d, str(path))
-        text = path.read_text()
-        assert "INF" in text
-        assert np.array_equal(read_matrix_csv(str(path)), d)

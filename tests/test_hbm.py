@@ -2,20 +2,32 @@
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
 from fwsim import (
     HbmConfig,
-    TileMap,
     default_config,
     load_config,
     map_tile_to_bank_group,
-    tiles_on_bank_group,
+    simulate,
     validate_config,
 )
 from fwsim.errors import ConfigError, ConstraintViolation
-from fwsim.hbm import TimingParams, config_from_dict, config_to_dict
+from fwsim.hbm import MAX_BANK_GROUPS, TimingParams, config_from_dict, config_to_dict
+
+
+def load(m, c, g):
+    """Tiles per bank-group under the interleaved map."""
+    return Counter(map_tile_to_bank_group(i, j, m, c, g)
+                   for i in range(m) for j in range(m))
+
+
+def tiles_on(bg, m, c, g):
+    """The tiles the interleaved map assigns to bank-group bg, row-major."""
+    return [(i, j) for i in range(m) for j in range(m)
+            if map_tile_to_bank_group(i, j, m, c, g) == bg]
 
 
 class TestMapping:
@@ -42,28 +54,23 @@ class TestMapping:
                         assert map_tile_to_bank_group(i, j, m, c, g) == (i * m + j) % cg
 
     def test_partition_property(self):
+        # Every tile lands on exactly one existing bank-group.
         m, c, g = 12, 8, 4
-        seen = {}
-        for bg in range(c * g):
-            for t in tiles_on_bank_group(bg, m, c, g):
-                assert t not in seen
-                seen[t] = bg
-        assert len(seen) == m * m
+        counts = load(m, c, g)
+        assert set(counts) <= set(range(c * g))
+        assert sum(counts.values()) == m * m
 
     def test_equal_load_when_divisible(self):
         m, c, g = 16, 8, 4
-        counts = [len(tiles_on_bank_group(bg, m, c, g)) for bg in range(c * g)]
-        assert counts == [m * m // (c * g)] * (c * g)
+        assert load(m, c, g) == Counter({bg: m * m // (c * g) for bg in range(c * g)})
 
     def test_tiles_on_bank_group_example(self):
-        tiles = tiles_on_bank_group(0, 16, 8, 4)
+        tiles = tiles_on(0, 16, 8, 4)
         assert len(tiles) == 8
         assert tiles[:3] == [(0, 0), (2, 0), (4, 0)]
 
     def test_m1_only_group_zero(self):
-        assert tiles_on_bank_group(0, 1, 8, 4) == [(0, 0)]
-        for bg in range(1, 32):
-            assert tiles_on_bank_group(bg, 1, 8, 4) == []
+        assert load(1, 8, 4) == Counter({0: 1})
 
     def test_row_adjacent_tiles_spread(self):
         m, c, g = 16, 8, 4
@@ -73,13 +80,6 @@ class TestMapping:
                     i, j + 1, m, c, g
                 )
 
-    def test_tilemap_channel_decomposition(self):
-        tm = TileMap(m=16, channels=8, groups_per_channel=4)
-        for bg in range(tm.total_bank_groups):
-            assert tm.channel_of(bg) == bg // 4
-            assert tm.group_within_channel(bg) == bg % 4
-        assert tm.bank_group(1, 2) == 18
-
 
 class TestDefaultsAndValidation:
     def test_default_values(self):
@@ -87,13 +87,9 @@ class TestDefaultsAndValidation:
         assert cfg.timing.t_rc == 30
         assert cfg.timing.t_rcd == 8
         assert cfg.timing.t_ras == 24
-        assert cfg.timing.t_rrd == 2
         assert cfg.timing.t_wr == 12
-        assert cfg.timing.t_ccds == 2
-        assert cfg.timing.t_ccdl == 4
         assert cfg.total_bank_groups == 32
         assert cfg.bpes_per_bank_group == 256
-        assert cfg.row_bits == 8192
         assert cfg.dq_bits == 1024
         assert cfg.clock_period_ps == 1000
 
@@ -113,8 +109,6 @@ class TestDefaultsAndValidation:
         cfg = default_config()
         with pytest.raises(ConfigError):
             validate_config(dataclasses.replace(cfg, channels=0), 1)
-        with pytest.raises(ConfigError):
-            validate_config(dataclasses.replace(cfg, row_bits=100), 1)
         bad_timing = dataclasses.replace(cfg, timing=TimingParams(t_rc=20, t_ras=24))
         with pytest.raises(ConfigError):
             validate_config(bad_timing, 1)
@@ -125,6 +119,31 @@ class TestDefaultsAndValidation:
     def test_negative_tiles_per_row(self):
         with pytest.raises(ConfigError):
             validate_config(default_config(), 0)
+
+    @pytest.mark.parametrize("doc", [
+        {"timing": {"t_rc_ns": float("inf")}},
+        {"energy": {"e_tsv_bit_pj": float("inf")}},
+        {"energy": {"e_read_bit_pj": -float("inf")}},
+        {"timing": {"t_rc_ns": float("nan")}},
+        {"energy": {"e_activate_pj": float("nan")}},
+        {"timing": {"t_rc_ns": 1e308}},  # finite, but not in picoseconds
+        {"timing": {"t_wr_ns": -1}},
+        {"channels": 99999999999999999999},
+        {"channels": 1000000000},
+        {"bank_groups_per_channel": MAX_BANK_GROUPS // 8 + 1},
+    ], ids=repr)
+    def test_out_of_range_values(self, doc):
+        cfg = config_from_dict(doc)
+        with pytest.raises(ConfigError):
+            validate_config(cfg, 1)
+        with pytest.raises(ConfigError):
+            simulate(16, 8, cfg, enforce_wavefront=False)
+
+    def test_bank_group_limit(self):
+        cfg = default_config()
+        validate_config(dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4), 1)
+        with pytest.raises(ConfigError, match=str(MAX_BANK_GROUPS)):
+            validate_config(dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4 + 1), 1)
 
 
 class TestConfigFiles:
@@ -151,6 +170,19 @@ class TestConfigFiles:
     def test_unknown_top_level_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"channles": 8})
+
+    @pytest.mark.parametrize("doc", [
+        {"row_bits": 8192},
+        {"rows_per_bank": 32768},
+        {"stack_height": 4},
+        {"timing": {"t_rrd_ns": 2.0}},
+        {"timing": {"t_ccds_ns": 2.0}},
+        {"timing": {"t_ccdl_ns": 4.0}},
+        {"pim": {"cpe_reduce_per_tile": True}},
+    ], ids=repr)
+    def test_removed_keys_rejected(self, doc):
+        with pytest.raises(ConfigError, match="unknown"):
+            config_from_dict(doc)
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -195,3 +227,68 @@ class TestConfigFiles:
         cfg = default_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.channels = 4
+
+
+# A different valid value for every settable config field. Each must change
+# simulate()'s output at one of LIVENESS_POINTS, so a field the model never
+# reads cannot be added (or kept) without this test failing.
+ALTERNATIVES = {
+    "channels": 4,
+    "bank_groups_per_channel": 8,
+    "banks_per_bank_group": 8,
+    "bpes_per_bank": 8,
+    "dq_bits": 2048,
+    "clock_period_ps": 2000,
+    "timing.t_rc": 500.0,
+    "timing.t_rcd": 4.0,
+    "timing.t_ras": 20.0,
+    "timing.t_wr": 20.0,
+    "energy.e_activate_pj": 1000.0,
+    "energy.e_read_bit_pj": 0.1,
+    "energy.e_write_bit_pj": 0.1,
+    "energy.e_bpe_cycle_pj": 0.1,
+    "energy.e_cpe_cycle_pj": 0.2,
+    "energy.e_tsv_bit_pj": 0.8,
+    "pim.operand_bits": 16,
+    "pim.add_passes": 3,
+    "pim.row_pass_setup_cycles": 100,
+    "pim.cpe_base_cycles": 8,
+    "pim.cpe_stage_cycles": 3,
+    "pim.broadcast_overlap": False,
+    "pim.bulk_load_cycles": 5000,
+}
+# (n, b): m=2 with b = 2 x the default 256 PEs per bank-group, so PE counts
+# and TSV width bind; m=8 with b=8, so tiles spread over channels.
+LIVENESS_POINTS = ((1024, 512), (64, 8))
+
+
+def settable_fields():
+    for f in dataclasses.fields(HbmConfig):
+        section = getattr(default_config(), f.name)
+        if dataclasses.is_dataclass(section):
+            yield from (f"{f.name}.{sf.name}" for sf in dataclasses.fields(section))
+        else:
+            yield f.name
+
+
+def with_value(cfg, path, value):
+    section, _, name = path.rpartition(".")
+    if not section:
+        return dataclasses.replace(cfg, **{name: value})
+    inner = dataclasses.replace(getattr(cfg, section), **{name: value})
+    return dataclasses.replace(cfg, **{section: inner})
+
+
+def modeled(cfg):
+    return [
+        (r.total_cycles, r.total_time_ps, r.counts, r.energy, r.per_bank_group_busy)
+        for r in (simulate(n, b, cfg) for n, b in LIVENESS_POINTS)
+    ]
+
+
+@pytest.mark.parametrize("path", list(settable_fields()))
+def test_every_config_field_changes_the_model(path):
+    base = default_config()
+    changed = with_value(base, path, ALTERNATIVES[path])
+    assert changed != base
+    assert modeled(changed) != modeled(base), f"{path} is never read"

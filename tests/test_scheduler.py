@@ -8,24 +8,22 @@ import pytest
 
 from fwsim import (
     EventKind,
-    TileMap,
     build_distance_matrix,
     default_config,
     fw_reference,
     gen_synthetic,
-    pivot_tile_cost,
-    schedule_round,
     simulate,
     simulate_functional,
+    tile_update_cost,
     timeline,
     utilization_report,
 )
 from fwsim.errors import ConstraintViolation, GuardError
 
 
-def tilemap_for(cfg, m):
-    return TileMap(m=m, channels=cfg.channels,
-                   groups_per_channel=cfg.bank_groups_per_channel)
+def round_events(k, m, b, cfg):
+    """The events of pivot round k of an (m * b)-vertex run."""
+    return [e for e in timeline(m * b, b, cfg) if e.k == k]
 
 
 def events_by_kind(events):
@@ -38,20 +36,21 @@ def events_by_kind(events):
 class TestRoundStructure:
     def test_m1_single_pivot_event(self):
         cfg = default_config()
-        events = schedule_round(0, 1, 64, tilemap_for(cfg, 1), cfg)
+        events = round_events(0, 1, 64, cfg)
         assert len(events) == 1
         assert events[0].kind is EventKind.PIVOT_FW
         assert events[0].start_cycle == 0
-        assert events[0].end_cycle == pivot_tile_cost(64, cfg).cycles
+        assert events[0].end_cycle == tile_update_cost(64, cfg).cycles
+        assert events[0].counts == tile_update_cost(64, cfg).counts
 
     def test_m1_simulate_total_equals_pivot(self):
         cfg = default_config()
         r = simulate(64, 64, cfg)
-        assert r.total_cycles == pivot_tile_cost(64, cfg).cycles
+        assert r.total_cycles == tile_update_cost(64, cfg).cycles
 
     def test_m2_event_census(self):
         cfg = default_config()
-        events = schedule_round(0, 2, 8, tilemap_for(cfg, 2), cfg)
+        events = round_events(0, 2, 8, cfg)
         kinds = events_by_kind(events)
         assert len(kinds[EventKind.PIVOT_FW]) == 1
         assert len(kinds[EventKind.ROW_COL_UPDATE]) == 2
@@ -62,7 +61,7 @@ class TestRoundStructure:
 
     def test_m2_phase2_tiles_start_together_on_distinct_groups(self):
         cfg = default_config()
-        events = schedule_round(0, 2, 8, tilemap_for(cfg, 2), cfg)
+        events = round_events(0, 2, 8, cfg)
         kinds = events_by_kind(events)
         p2 = kinds[EventKind.ROW_COL_UPDATE]
         assert p2[0].resource != p2[1].resource
@@ -71,7 +70,7 @@ class TestRoundStructure:
     def test_phase3_max_serialization_default_m16(self):
         # 225 wavefront tiles over 32 groups: the most loaded group queues 8.
         cfg = default_config()
-        events = schedule_round(3, 16, 8, tilemap_for(cfg, 16), cfg)
+        events = round_events(3, 16, 8, cfg)
         per_group = defaultdict(int)
         for e in events_by_kind(events)[EventKind.REMAINING_UPDATE]:
             per_group[e.resource] += 1
@@ -79,11 +78,17 @@ class TestRoundStructure:
         assert sum(per_group.values()) == 225
 
     def test_round_offsets_shift_uniformly(self):
+        # A 1000-cycle bulk load delays every later event by exactly 1000.
         cfg = default_config()
-        base = schedule_round(1, 4, 8, tilemap_for(cfg, 4), cfg, round_start=0)
-        moved = schedule_round(1, 4, 8, tilemap_for(cfg, 4), cfg, round_start=1000)
+        loaded = dataclasses.replace(
+            cfg, pim=dataclasses.replace(cfg.pim, bulk_load_cycles=1000))
+        base = timeline(32, 8, cfg)
+        load, *moved = timeline(32, 8, loaded)
+        assert (load.k, load.start_cycle, load.end_cycle) == (-1, 0, 1000)
         assert len(base) == len(moved)
         for a, b in zip(base, moved):
+            assert (b.kind, b.k, b.target, b.resource, b.counts) == (
+                a.kind, a.k, a.target, a.resource, a.counts)
             assert b.start_cycle - a.start_cycle == 1000
             assert b.end_cycle - a.end_cycle == 1000
 
@@ -222,7 +227,7 @@ class TestWavefrontEnforcement:
     def test_other_config_errors_still_raised_when_relaxed(self):
         from fwsim.errors import ConfigError
 
-        bad = dataclasses.replace(default_config(), row_bits=100)
+        bad = dataclasses.replace(default_config(), dq_bits=0)
         with pytest.raises(ConfigError):
             simulate(64, 16, bad, enforce_wavefront=False)
 
