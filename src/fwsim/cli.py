@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -110,8 +111,8 @@ def cmd_verify(args) -> int:
     for trial in range(args.trials):
         edges = gen_synthetic(n, args.density, seed=args.seed + trial)
         d = build_distance_matrix(edges)
-        expected = fw_reference(d)
         got, _ = simulate_functional(d, b, cfg, enforce_wavefront=False)
+        expected = fw_reference(d)
         if not np.array_equal(expected, got):
             i, j = map(int, np.argwhere(expected != got)[0])
             failures.append(
@@ -211,7 +212,13 @@ def project_runtime(t_measured: float, n_measured: int, n_target: int) -> float:
     """Cubic-complexity projection: t * (n_target / n_measured)^3."""
     if t_measured <= 0 or n_measured <= 0 or n_target <= 0:
         raise ConfigError("projection inputs must all be positive")
-    return t_measured * (n_target / n_measured) ** 3
+    try:
+        seconds = t_measured * (n_target / n_measured) ** 3
+    except OverflowError:
+        seconds = math.inf
+    if not math.isfinite(seconds):
+        raise ConfigError("the projected runtime is not a finite float")
+    return seconds
 
 
 def cmd_project(args) -> int:

@@ -7,7 +7,6 @@ be converted between row-major and tile-major layouts (padding as needed).
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,12 +62,7 @@ def parse_edge_list(text, directed: bool = True) -> EdgeList:
     Duplicate edges keep the minimum weight; self-loops are dropped.
     Undirected mode emits both directions of every record.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    elif isinstance(text, (io.TextIOBase, io.StringIO)):
-        lines = text
-    else:
-        lines = text
+    lines = text.splitlines() if isinstance(text, str) else text
 
     index: dict[int, int] = {}
     best: dict[tuple[int, int], int] = {}

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import ceil, log2
 
+from .errors import ConfigError
 from .hbm import EnergyParams, HbmConfig
 
 
@@ -55,9 +56,6 @@ class OpCounts:
             self.tsv_bits * times,
             self.minplus_ops * times,
         )
-
-
-ZERO_COUNTS = OpCounts()
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,10 @@ class EnergyBreakdown:
 
     @property
     def total_joules(self) -> float:
-        return self.total_fj * 1e-15
+        try:
+            return self.total_fj * 1e-15
+        except OverflowError:
+            raise ConfigError("the energy in joules overflows a float") from None
 
     def as_dict(self) -> dict:
         return {

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,8 +24,8 @@ from .fw import TilePhase, fw_blocked, round_records
 from .graphs import from_tile_major, to_tile_major
 from .hbm import HbmConfig, map_tile_to_bank_group, validate_config
 from .perf import (
+    EnergyBreakdown,
     OpCounts,
-    ZERO_COUNTS,
     broadcast_cost,
     cpe_reduction_cost,
     energy_of,
@@ -34,7 +33,7 @@ from .perf import (
     tile_update_cost,
 )
 
-# simulate_functional refuses matrices larger than this by default.
+# simulate_functional refuses matrices larger than this.
 FUNCTIONAL_GUARD = 4096
 
 
@@ -75,140 +74,15 @@ class SimResult:
     total_time_ps: int
     bulk_load_cycles: int
     counts: OpCounts
-    energy: "object"
+    energy: EnergyBreakdown
     per_bank_group_busy: list[int]
 
     @property
     def total_time_seconds(self) -> float:
-        return self.total_time_ps * 1e-12
-
-
-class _Builder:
-    """Mutable scheduling state for one run: aggregate counters, plus the
-    event list when events is a list (None aggregates only)."""
-
-    def __init__(self, total_bank_groups: int, events: list[PhaseEvent] | None):
-        self.events = events
-        self.counts = ZERO_COUNTS
-        self.busy = [0] * total_bank_groups
-        self.max_end = 0
-
-    def emit(self, kind, k, target, resource, start, cycles, counts) -> int:
-        end = start + cycles
-        if self.events is not None:
-            self.events.append(
-                PhaseEvent(kind, k, target, resource, start, end, counts)
-            )
-        self.counts = self.counts + counts
-        if resource.startswith("bg:"):
-            self.busy[int(resource[3:])] += cycles
-        self.max_end = max(self.max_end, end)
-        return end
-
-
-@lru_cache(maxsize=16384)
-def _vector_quote(src_bg: int, dst_bg: int, b: int, cfg: HbmConfig):
-    """Memoized single-destination broadcast quote (hot path: one or two of
-    these per tile update)."""
-    return broadcast_cost(src_bg, (dst_bg,), b, cfg)
-
-
-def _tile_event_cycles(b: int, step_cycles: int, vec_cycles: int, overlap: bool) -> int:
-    """Makespan of one tile update whose b inner-product steps each consume a
-    freshly broadcast pivot vector (vec_cycles per step, possibly two vectors
-    merged). With overlap, step t+1's vector rides under step t's compute."""
-    if vec_cycles == 0:
-        return b * step_cycles
-    if overlap:
-        return b * max(step_cycles, vec_cycles)
-    return b * (step_cycles + vec_cycles)
-
-
-def _emit_round(builder: _Builder, k: int, m: int, b: int, cfg: HbmConfig,
-                round_start: int, bank_group: dict) -> None:
-    """Emit the events of pivot round k, starting no earlier than round_start.
-    bank_group maps each tile to the bank-group that holds it."""
-    g = cfg.bank_groups_per_channel
-    records = round_records(k, m)
-    pivot_bg = bank_group[k, k]
-
-    # The pivot's in-tile FW is b dependent steps of b row-passes: the same
-    # serialization as a tile update, so it is charged the same quote.
-    update = tile_update_cost(b, cfg)
-    step_cycles = b * tile_row_pass_cost(b, cfg).cycles
-    overlap = cfg.pim.broadcast_overlap
-
-    pivot_end = builder.emit(
-        EventKind.PIVOT_FW, k, (k, k), f"bg:{pivot_bg}",
-        round_start, update.cycles, update.counts,
-    )
-
-    p2 = [r for r in records if r.phase in (TilePhase.PIVOT_ROW, TilePhase.PIVOT_COL)]
-    p3 = [r for r in records if r.phase is TilePhase.REMAINING]
-    if not p2:
-        return
-
-    tsv_free = round_start
-    chan_free: dict[int, int] = {}
-    group_free: dict[int, int] = {}
-
-    # Stage the pivot's first vector at every pivot-row/column holder.
-    p2_groups = sorted({bank_group[r.target] for r in p2})
-    fill = broadcast_cost(pivot_bg, p2_groups, b, cfg)
-    bcast_end = builder.emit(
-        EventKind.BROADCAST, k, (k, k), "tsv",
-        max(pivot_end, tsv_free), fill.cycles, fill.counts,
-    )
-    tsv_free = bcast_end
-    cpe = cpe_reduction_cost(g, cfg)
-
-    def run_update(record, kind, start_floor):
-        """Schedule one tile update, fed one pivot vector per step from each
-        source other than the target, and its channel-PE reduction."""
-        bg = bank_group[record.target]
-        vec_quotes = [_vector_quote(bank_group[src], bg, b, cfg)
-                      for src in record.sources if src != record.target]
-        vec_cycles = sum(q.cycles for q in vec_quotes)
-        stream = ZERO_COUNTS
-        for q in vec_quotes:
-            stream = stream + q.counts.scaled(b)
-        cycles = _tile_event_cycles(b, step_cycles, vec_cycles, overlap)
-        start = max(start_floor, group_free.get(bg, round_start))
-        end = builder.emit(
-            kind, k, record.target, f"bg:{bg}", start, cycles,
-            update.counts + stream,
-        )
-        group_free[bg] = end
-        ch = bg // g
-        cstart = max(end, chan_free.get(ch, round_start))
-        chan_free[ch] = builder.emit(
-            EventKind.CPE_REDUCE, k, record.target, f"ch:{ch}",
-            cstart, cpe.cycles, cpe.counts,
-        )
-        return bg, end
-
-    # Phase 2: pivot-row and pivot-column tiles, concurrent across groups.
-    p2_barrier = bcast_end
-    for r in p2:
-        bg, end = run_update(r, EventKind.ROW_COL_UPDATE, bcast_end)
-        p2_barrier = max(p2_barrier, end)
-        if p3:
-            # Stage this tile's first result vector at its wavefront consumers.
-            ti, tj = r.target
-            if r.phase is TilePhase.PIVOT_ROW:
-                consumers = {bank_group[i, tj] for i in range(m) if i != k}
-            else:
-                consumers = {bank_group[ti, j] for j in range(m) if j != k}
-            f = broadcast_cost(bg, sorted(consumers), b, cfg)
-            tsv_free = builder.emit(
-                EventKind.BROADCAST, k, r.target, "tsv",
-                max(end, tsv_free), f.cycles, f.counts,
-            )
-            p2_barrier = max(p2_barrier, tsv_free)
-
-    # Phase 3: the remaining-tile wavefront, after every source is published.
-    for r in p3:
-        run_update(r, EventKind.REMAINING_UPDATE, p2_barrier)
+        try:
+            return self.total_time_ps * 1e-12
+        except OverflowError:
+            raise ConfigError("the simulated time in seconds overflows a float") from None
 
 
 def tiles_per_row(n: int, b: int) -> int:
@@ -219,29 +93,129 @@ def tiles_per_row(n: int, b: int) -> int:
 
 
 def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
-         events: list[PhaseEvent] | None) -> _Builder:
-    """Validate, charge the bulk load, then chain the pivot rounds."""
+         events: list[PhaseEvent] | None) -> SimResult:
+    """Validate, charge the bulk load, then chain the pivot rounds, each
+    starting when the previous one's last event ends. Every event is appended
+    to events when it is a list.
+
+    Every tile update, the pivot's in-tile FW included, charges the
+    tile_update_cost quote, and every other update one channel-PE reduction:
+    the counts are those quotes times m^3 and m^3 - m, plus the TSV bits of
+    the bulk load, the broadcast fills and the pivot-vector streams.
+    """
     m = tiles_per_row(n, b)
     try:
         validate_config(cfg, m)
     except ConstraintViolation:
         if enforce_wavefront:
             raise
-    builder = _Builder(cfg.total_bank_groups, events)
-    bank_group = {(i, j): map_tile_to_bank_group(i, j, m, cfg.channels,
-                                                 cfg.bank_groups_per_channel)
+    g = cfg.bank_groups_per_channel
+    bank_group = {(i, j): map_tile_to_bank_group(i, j, m, cfg.channels, g)
                   for i in range(m) for j in range(m)}
-    start = 0
-    if cfg.pim.bulk_load_cycles > 0:
-        load_bits = (m * b) * (m * b) * cfg.pim.operand_bits
-        start = builder.emit(
-            EventKind.BROADCAST, -1, None, "tsv", 0,
-            cfg.pim.bulk_load_cycles, OpCounts(tsv_bits=load_bits),
-        )
+    # The pivot's in-tile FW is b dependent steps of b row-passes: the same
+    # serialization as a tile update, so it is charged the same quote.
+    update = tile_update_cost(b, cfg)
+    cpe = cpe_reduction_cost(g, cfg)
+    step_cycles = b * tile_row_pass_cost(b, cfg).cycles
+    overlap = cfg.pim.broadcast_overlap
+    # Single-destination pivot-vector quotes, keyed by (source, target group).
+    vector_quotes = {}
+    busy = [0] * cfg.total_bank_groups
+    tsv_bits = 0
+
+    start = cfg.pim.bulk_load_cycles
+    if start > 0:
+        tsv_bits = (m * b) * (m * b) * cfg.pim.operand_bits
+        if events is not None:
+            events.append(PhaseEvent(EventKind.BROADCAST, -1, None, "tsv", 0, start,
+                                     OpCounts(tsv_bits=tsv_bits)))
     for k in range(m):
-        _emit_round(builder, k, m, b, cfg, start, bank_group)
-        start = builder.max_end
-    return builder
+        pivot, *updates = round_records(k, m)
+        pivot_bg = bank_group[pivot.target]
+        pivot_end = start + update.cycles
+        busy[pivot_bg] += update.cycles
+        if events is not None:
+            events.append(PhaseEvent(EventKind.PIVOT_FW, k, pivot.target,
+                                     f"bg:{pivot_bg}", start, pivot_end, update.counts))
+        if not updates:
+            start = pivot_end
+            continue
+
+        # Stage the pivot's first vector at every pivot-row/column holder.
+        fill = broadcast_cost(pivot_bg, {bank_group[r.target] for r in updates
+                                         if r.phase is not TilePhase.REMAINING}, b, cfg)
+        fill_end = tsv_free = pivot_end + fill.cycles
+        tsv_bits += fill.counts.tsv_bits
+        if events is not None:
+            events.append(PhaseEvent(EventKind.BROADCAST, k, pivot.target, "tsv",
+                                     pivot_end, fill_end, fill.counts))
+        group_free: dict[int, int] = {}
+        chan_free: dict[int, int] = {}
+        # Pivot-row and pivot-column tiles start after the fill, concurrent
+        # across bank-groups; the remaining-tile wavefront starts once the last
+        # of their result vectors is published on the TSV bus.
+        for r in updates:
+            wavefront = r.phase is TilePhase.REMAINING
+            bg = bank_group[r.target]
+            vec_cycles = vec_bits = 0
+            for src in r.sources:
+                if src != r.target:
+                    key = (bank_group[src], bg)
+                    q = vector_quotes.get(key)
+                    if q is None:
+                        q = vector_quotes[key] = broadcast_cost(key[0], (bg,), b, cfg)
+                    vec_cycles += q.cycles
+                    vec_bits += b * q.counts.tsv_bits
+            # Each of the b inner-product steps consumes a freshly broadcast
+            # vector from each source; with overlap, step t+1's vectors ride
+            # under step t's compute.
+            cycles = b * (max(step_cycles, vec_cycles) if overlap
+                          else step_cycles + vec_cycles)
+            tile_start = max(tsv_free if wavefront else fill_end,
+                             group_free.get(bg, start))
+            end = group_free[bg] = tile_start + cycles
+            busy[bg] += cycles
+            tsv_bits += vec_bits
+            ch = bg // g
+            cpe_start = max(end, chan_free.get(ch, start))
+            chan_free[ch] = cpe_start + cpe.cycles
+            if events is not None:
+                kind = EventKind.REMAINING_UPDATE if wavefront else EventKind.ROW_COL_UPDATE
+                events.append(PhaseEvent(kind, k, r.target, f"bg:{bg}", tile_start, end,
+                                         update.counts + OpCounts(tsv_bits=vec_bits)))
+                events.append(PhaseEvent(EventKind.CPE_REDUCE, k, r.target, f"ch:{ch}",
+                                         cpe_start, chan_free[ch], cpe.counts))
+            if wavefront:
+                continue
+            # Stage this tile's first result vector at its wavefront consumers.
+            ti, tj = r.target
+            if r.phase is TilePhase.PIVOT_ROW:
+                consumers = {bank_group[i, tj] for i in range(m) if i != k}
+            else:
+                consumers = {bank_group[ti, j] for j in range(m) if j != k}
+            f = broadcast_cost(bg, consumers, b, cfg)
+            f_start = max(end, tsv_free)
+            tsv_free = f_start + f.cycles
+            tsv_bits += f.counts.tsv_bits
+            if events is not None:
+                events.append(PhaseEvent(EventKind.BROADCAST, k, r.target, "tsv",
+                                         f_start, tsv_free, f.counts))
+        # The round ends with its last broadcast or channel-PE reduction.
+        start = max(tsv_free, *chan_free.values())
+
+    counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
+              + OpCounts(tsv_bits=tsv_bits))
+    return SimResult(
+        n=n,
+        block_size=b,
+        tiles_per_row=m,
+        total_cycles=start,
+        total_time_ps=start * cfg.clock_period_ps,
+        bulk_load_cycles=cfg.pim.bulk_load_cycles,
+        counts=counts,
+        energy=energy_of(counts, cfg.energy),
+        per_bank_group_busy=busy,
+    )
 
 
 def simulate(n: int, b: int, cfg: HbmConfig, *,
@@ -251,25 +225,15 @@ def simulate(n: int, b: int, cfg: HbmConfig, *,
     Purely analytic: runtime scales with the number of tiles, not n^3.
     Deterministic: identical inputs produce identical results.
     """
-    builder = _run(n, b, cfg, enforce_wavefront, None)
-    total = builder.max_end
-    return SimResult(
-        n=n,
-        block_size=b,
-        tiles_per_row=tiles_per_row(n, b),
-        total_cycles=total,
-        total_time_ps=total * cfg.clock_period_ps,
-        bulk_load_cycles=cfg.pim.bulk_load_cycles,
-        counts=builder.counts,
-        energy=energy_of(builder.counts, cfg.energy),
-        per_bank_group_busy=builder.busy,
-    )
+    return _run(n, b, cfg, enforce_wavefront, None)
 
 
 def timeline(n: int, b: int, cfg: HbmConfig, *,
              enforce_wavefront: bool = True) -> list[PhaseEvent]:
     """Every event of the run that simulate() totals, in emission order."""
-    return _run(n, b, cfg, enforce_wavefront, []).events
+    events: list[PhaseEvent] = []
+    _run(n, b, cfg, enforce_wavefront, events)
+    return events
 
 
 def simulate_functional(
@@ -277,15 +241,14 @@ def simulate_functional(
     b: int,
     cfg: HbmConfig,
     *,
-    max_functional_n: int = FUNCTIONAL_GUARD,
     enforce_wavefront: bool = True,
 ) -> tuple[np.ndarray, SimResult]:
     """Run the blocked algorithm for values and the scheduler for timing on
     the same workload. Returns (distance matrix, SimResult)."""
     n = d.shape[0]
-    if n > max_functional_n:
+    if n > FUNCTIONAL_GUARD:
         raise GuardError(
-            f"functional execution is guarded at n <= {max_functional_n} "
+            f"functional execution is guarded at n <= {FUNCTIONAL_GUARD} "
             f"(got {n}); use the timing-only simulate() for larger runs"
         )
     tiled = to_tile_major(d, b)
@@ -295,11 +258,7 @@ def simulate_functional(
 
 def utilization_report(result: SimResult) -> dict:
     """Per-bank-group busy fractions plus max/min/mean."""
-    total = result.total_cycles
-    if total == 0:
-        fractions = [0.0] * len(result.per_bank_group_busy)
-    else:
-        fractions = [busy / total for busy in result.per_bank_group_busy]
+    fractions = [busy / result.total_cycles for busy in result.per_bank_group_busy]
     return {
         "per_bank_group": fractions,
         "max": max(fractions),

@@ -41,6 +41,11 @@ CONFIG_DOCS = {
     "channels-huge": '{"channels": 99999999999999999999}',
     "channels-1e9": '{"channels": 1000000000}',
     "removed-key": '{"row_bits": 8192}',
+    # Valid values whose modeled time or energy overflows a float in seconds
+    # or joules.
+    "clock-period-1e400": '{"clock_period_ps": 1%s}' % ("0" * 400),
+    "operand-bits-1e400": '{"pim": {"operand_bits": 1%s}}' % ("0" * 400),
+    "e-activate-1e305": '{"energy": {"e_activate_pj": 1e305}}',
 }
 
 BAD_INPUTS = {
@@ -54,6 +59,7 @@ BAD_INPUTS = {
        for name in CONFIG_DOCS},
     "run-out-directory": RUN + ["--out", "{tmp}/directory"],
     "run-wavefront-violated": ["run", "--nodes", "8192", "--block-size", "256"],
+    "run-nodes-1e200": ["run", "--nodes", str(10**200), "--block-size", str(10**200)],
     "verify-nodes-0": ["verify", "--nodes", "0", "--block-size", "8"],
     "verify-block-size-0": ["verify", "--nodes", "8", "--block-size", "0"],
     "verify-no-nodes": ["verify", "--block-size", "8"],
@@ -61,6 +67,9 @@ BAD_INPUTS = {
     "verify-density-2": VERIFY + ["--density", "2"],
     "verify-graph": VERIFY + ["--graph", "{tmp}/missing.txt"],
     "verify-undirected": VERIFY + ["--undirected"],
+    # The functional guard (n <= 4096) trips before the reference runs.
+    "verify-nodes-4097": ["verify", "--nodes", "4097", "--block-size", "4097",
+                          "--trials", "1", "--density", "0.0001"],
     "sweep-block-size-0": ["sweep", "--nodes", "64", "--block-size", "0",
                            "--param", "channels", "--values", "4"],
     "sweep-value-0": ["sweep", "--nodes", "64", "--block-size", "8",
@@ -73,6 +82,8 @@ BAD_INPUTS = {
     "sweep-undirected": SWEEP + ["--undirected"],
     "project-zero": ["project", "--measured-seconds", "0", "--measured-n", "8",
                      "--target-n", "16"],
+    "project-target-1e200": ["project", "--measured-seconds", "1", "--measured-n", "1",
+                             "--target-n", str(10**200)],
     "compare-report-directory": ["compare", "--report", "{tmp}/directory",
                                  "--baseline-runtime", "1"],
     "compare-report-missing": ["compare", "--report", "{tmp}/missing.json",

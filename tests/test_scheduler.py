@@ -18,6 +18,7 @@ from fwsim import (
     timeline,
     utilization_report,
 )
+from fwsim import scheduler
 from fwsim.errors import ConstraintViolation, GuardError
 
 
@@ -246,11 +247,12 @@ class TestFunctional:
         got, _ = simulate_functional(d, 20, cfg)
         assert np.array_equal(got, fw_reference(d))
 
-    def test_guard_refuses_large_matrices(self):
+    def test_guard_refuses_large_matrices(self, monkeypatch):
+        monkeypatch.setattr(scheduler, "FUNCTIONAL_GUARD", 8)
         cfg = default_config()
         d = np.zeros((10, 10), dtype=np.uint32)
         with pytest.raises(GuardError) as exc:
-            simulate_functional(d, 4, cfg, max_functional_n=8)
+            simulate_functional(d, 4, cfg)
         assert "timing-only" in str(exc.value)
 
     def test_unreachable_pairs_stay_inf(self):
