@@ -12,11 +12,8 @@ from .graphs import (
     to_tile_major,
 )
 from .fw import (
-    TilePhase,
     fw_blocked,
     fw_reference,
-    min_plus,
-    saturating_add,
     tile_minplus_update,
 )
 from .hbm import (
@@ -45,7 +42,6 @@ from .scheduler import (
 
 __all__ = [
     "INF",
-    "TilePhase",
     "HbmConfig",
     "OpCounts",
     "EventKind",
@@ -56,8 +52,6 @@ __all__ = [
     "to_tile_major",
     "fw_blocked",
     "fw_reference",
-    "min_plus",
-    "saturating_add",
     "tile_minplus_update",
     "default_config",
     "load_config",

@@ -22,8 +22,8 @@ from .errors import FwsimError, ConfigError
 from .fw import fw_reference
 from .graphs import build_distance_matrix, gen_synthetic, load_edge_list
 from .hbm import HbmConfig, config_to_dict, load_config, validate_config
-from .scheduler import (SimResult, simulate, simulate_functional, tiles_per_row,
-                        utilization_report)
+from .scheduler import (SimResult, check_functional_size, simulate, simulate_functional,
+                        tiles_per_row, utilization_report)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -107,6 +107,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify needs --nodes")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    check_functional_size(n)
     failures = []
     for trial in range(args.trials):
         edges = gen_synthetic(n, args.density, seed=args.seed + trial)
@@ -236,8 +237,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if args.baseline_runtime is None or args.baseline_runtime <= 0:
-        raise ConfigError("--baseline-runtime must be a positive duration in seconds")
+    for flag, value in (("--baseline-runtime", args.baseline_runtime),
+                        ("--baseline-energy", args.baseline_energy)):
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{flag} must be finite and positive, got {value}")
     try:
         with open(args.report, "r", encoding="utf-8") as fh:
             calibrated = json.load(fh)["calibrated"]

@@ -1,7 +1,5 @@
-"""Bit-exact Floyd-Warshall: the scalar min-plus relaxation, the in-place
-tile kernel that every array path runs on, the O(N^3) reference, the blocked
-variant, and the per-round tile operations that the timing scheduler
-schedules.
+"""Bit-exact Floyd-Warshall: the in-place min-plus tile kernel that every
+path runs on, the O(N^3) reference and the blocked variant.
 
 All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
 and any finite sum that would overflow 32 bits saturates to INF. The kernel
@@ -11,9 +9,6 @@ min(d, min(s, INF)) == min(d, s), and the minimum always fits back in uint32.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .graphs import INF, TiledMatrix
@@ -22,38 +17,6 @@ from .graphs import INF, TiledMatrix
 # uint32 block plus the kernel's uint64 scratch of the same shape keep peak
 # temporary memory around 48 MB.
 _CHUNK_ELEMS = 4_000_000
-
-
-class TilePhase(Enum):
-    PIVOT_FW = "pivot_fw"
-    PIVOT_ROW = "pivot_row"
-    PIVOT_COL = "pivot_col"
-    REMAINING = "remaining"
-
-
-@dataclass(frozen=True)
-class TileOpRecord:
-    """One blocked-FW tile operation: which tile is written, from which tiles.
-
-    round_records lists them per pivot round; the scheduler derives each
-    round's events from that list.
-    """
-
-    phase: TilePhase
-    k: int
-    target: tuple[int, int]
-    sources: tuple[tuple[int, int], ...]
-
-
-def min_plus(d_ij: int, d_ik: int, d_kj: int) -> int:
-    """Scalar relaxation: min(d_ij, d_ik + d_kj) with saturating addition."""
-    return min(d_ij, min(d_ik + d_kj, INF))
-
-
-def saturating_add(a, b) -> np.ndarray:
-    """Elementwise uint32 addition that saturates at INF instead of wrapping."""
-    s = np.add(a, b, dtype=np.uint64)
-    return np.minimum(s, INF).astype(np.uint32)
 
 
 def _minplus(out: np.ndarray, left, right) -> None:
@@ -90,29 +53,6 @@ def tile_minplus_update(a_ij: np.ndarray, a_ik: np.ndarray, a_kj: np.ndarray) ->
     out = a_ij.astype(np.uint32, copy=True)
     _minplus(out, a_ik, a_kj)
     return out
-
-
-def round_records(k: int, m: int) -> list[TileOpRecord]:
-    """Tile operations of pivot round k, in execution order: the pivot tile,
-    pivot-row updates (j ascending), pivot-column updates (i ascending), then
-    the remaining tiles row-major."""
-    records = [TileOpRecord(TilePhase.PIVOT_FW, k, (k, k), ((k, k),))]
-    others = [j for j in range(m) if j != k]
-    for j in others:
-        records.append(TileOpRecord(TilePhase.PIVOT_ROW, k, (k, j), ((k, k), (k, j))))
-    for i in others:
-        records.append(TileOpRecord(TilePhase.PIVOT_COL, k, (i, k), ((k, k), (i, k))))
-    for i in others:
-        for j in others:
-            records.append(TileOpRecord(TilePhase.REMAINING, k, (i, j), ((i, k), (k, j))))
-    return records
-
-
-def full_trace(m: int) -> list[TileOpRecord]:
-    trace: list[TileOpRecord] = []
-    for k in range(m):
-        trace.extend(round_records(k, m))
-    return trace
 
 
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:

@@ -6,10 +6,30 @@ Each pivot round is a sequence of stages separated by barriers:
   across bank-groups, serialized within one) -> result broadcasts ->
   remaining-tile wavefront -> per-tile channel-PE reductions.
 
-Tiles that share a bank-group serialize FIFO in a fixed row-major order;
-broadcast fill events serialize on the TSV bus; steady-state pivot-vector
-streams ride inside the tile events (counts always charged, cycles hidden
-under compute when broadcast_overlap is on). Rounds never overlap.
+Tiles that share a bank-group serialize FIFO in emission order (pivot row,
+pivot column, then the wavefront row-major); broadcast fill events serialize
+on the TSV bus; steady-state pivot-vector streams ride inside the tile events
+(counts always charged, cycles hidden under compute when broadcast_overlap is
+on). Rounds never overlap.
+
+No resource is busy when a round starts and every stage waits for the one
+before it, so every time in a round is an offset from its start and a round's
+length does not depend on when it starts. Each round is a few array
+operations over its m^2 updates in emission order, times as offsets:
+
+  row/column ends      fill_end + a per-bank-group cumsum of durations
+  result broadcasts    the TSV chain x_i = max(x_{i-1}, e_i) + f_i from
+                       x_0 = fill_end is S_i + max(fill_end,
+                       max_{q<=i}(e_q - S_{q-1})), S = cumsum(f); its end T
+                       follows every row/column end and frees the wavefront
+  wavefront ends       T + a per-bank-group cumsum of durations
+  channel-PE chain     a channel's p-th reduction, C cycles each, ends at
+                       (p + 1) C + max_{q<=p}(e_q - q C)
+  vector streams       max(1, [channel differs] + [position differs]) steps
+  fill/result fan-out  perf.broadcast_cost's hops, counted on a (broadcast,
+                       channel, position) mask of destinations
+
+tests/reference_scheduler.py schedules tile by tile; it is the oracle.
 """
 
 from __future__ import annotations
@@ -20,13 +40,12 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, ConstraintViolation, GuardError
-from .fw import TilePhase, fw_blocked, round_records
+from .fw import fw_blocked
 from .graphs import from_tile_major, to_tile_major
-from .hbm import HbmConfig, map_tile_to_bank_group, validate_config
+from .hbm import HbmConfig, validate_config
 from .perf import (
     EnergyBreakdown,
     OpCounts,
-    broadcast_cost,
     cpe_reduction_cost,
     energy_of,
     tile_row_pass_cost,
@@ -92,6 +111,25 @@ def tiles_per_row(n: int, b: int) -> int:
     return -(-n // b)
 
 
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Each element's count of earlier elements with the same key. Keys are
+    bank-groups or channels, below MAX_BANK_GROUPS = 2^16: a radix sort."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    idx = np.arange(len(keys))
+    first = np.r_[True, np.diff(keys[order]) != 0]
+    ranks = np.empty_like(idx)
+    ranks[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    return ranks
+
+
+def _scan(op: np.ufunc, keys: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """op.accumulate of values over the elements that share a key, in order:
+    the rows of a (key, rank) grid, read no further than each key's last rank."""
+    grid = np.zeros((keys.max() + 1, ranks.max() + 1), dtype=np.int64)
+    grid[keys, ranks] = values
+    return op.accumulate(grid, axis=1)[keys, ranks]
+
+
 def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
          events: list[PhaseEvent] | None) -> SimResult:
     """Validate, charge the bulk load, then chain the pivot rounds, each
@@ -110,18 +148,34 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
         if enforce_wavefront:
             raise
     g = cfg.bank_groups_per_channel
-    bank_group = {(i, j): map_tile_to_bank_group(i, j, m, cfg.channels, g)
-                  for i in range(m) for j in range(m)}
     # The pivot's in-tile FW is b dependent steps of b row-passes: the same
     # serialization as a tile update, so it is charged the same quote.
     update = tile_update_cost(b, cfg)
     cpe = cpe_reduction_cost(g, cfg)
     step_cycles = b * tile_row_pass_cost(b, cfg).cycles
-    overlap = cfg.pim.broadcast_overlap
-    # Single-destination pivot-vector quotes, keyed by (source, target group).
-    vector_quotes = {}
-    busy = [0] * cfg.total_bank_groups
+    beats = -(-b * cfg.pim.operand_bits // cfg.dq_bits)
+    vector_bits = b * cfg.pim.operand_bits
+    # int64 holds a round's offsets and TSV bits, and the busy sums: a round
+    # lasts no longer than its events back to back (broadcasts <= g steps, two
+    # streams <= 2 steps per update) nor moves more bits than if all crossed.
+    round_bound = max(
+        update.cycles + (2 * m - 1) * g * beats
+        + m * m * (b * (step_cycles + 4 * beats) + cpe.cycles),
+        vector_bits * ((2 * m - 1) * cfg.channels + 2 * b * m * m))
+    if cfg.pim.bulk_load_cycles + m * round_bound > (1 << 63) - 1:
+        raise ConfigError(f"n={n} with b={b} can exceed 2^63 - 1 cycles or TSV bits, "
+                          "the scheduler's int64 range")
+    bank_group = np.arange(m * m).reshape(m, m) % cfg.total_bank_groups  # map_tile_to_bank_group
+    busy = np.zeros(cfg.total_bank_groups, dtype=np.int64)
+    rows = np.arange(2 * m - 1)
+    width = -(-min(cfg.total_bank_groups, m * m) // g) * g  # the channels holding tiles
     tsv_bits = 0
+
+    def streams(src, dst):
+        """Cycles and TSV bits of the b vectors one update streams from src."""
+        cross = src // g != dst // g
+        return (np.maximum(1, cross + (src % g != dst % g).astype(np.int64)) * beats,
+                cross * (b * vector_bits))
 
     start = cfg.pim.bulk_load_cycles
     if start > 0:
@@ -130,92 +184,98 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
             events.append(PhaseEvent(EventKind.BROADCAST, -1, None, "tsv", 0, start,
                                      OpCounts(tsv_bits=tsv_bits)))
     for k in range(m):
-        pivot, *updates = round_records(k, m)
-        pivot_bg = bank_group[pivot.target]
-        pivot_end = start + update.cycles
+        pivot_bg = int(bank_group[k, k])
         busy[pivot_bg] += update.cycles
         if events is not None:
-            events.append(PhaseEvent(EventKind.PIVOT_FW, k, pivot.target,
-                                     f"bg:{pivot_bg}", start, pivot_end, update.counts))
-        if not updates:
-            start = pivot_end
+            events.append(PhaseEvent(EventKind.PIVOT_FW, k, (k, k), f"bg:{pivot_bg}",
+                                     start, start + update.cycles, update.counts))
+        if m == 1:
+            start += update.cycles
             continue
 
-        # Stage the pivot's first vector at every pivot-row/column holder.
-        fill = broadcast_cost(pivot_bg, {bank_group[r.target] for r in updates
-                                         if r.phase is not TilePhase.REMAINING}, b, cfg)
-        fill_end = tsv_free = pivot_end + fill.cycles
-        tsv_bits += fill.counts.tsv_bits
+        # Emission order: pivot row, pivot column, wavefront. A row or column tile
+        # streams the pivot's vectors; wavefront tile (i, j), (i, k)'s and (k, j)'s.
+        others = np.delete(np.arange(m), k)
+        row_bg, col_bg = bank_group[k, others], bank_group[others, k]
+        wave_bg = bank_group[np.ix_(others, others)]
+        rc = 2 * (m - 1)
+        bgs = np.concatenate([row_bg, col_bg, wave_bg.ravel()])
+        vec, vec_bits = streams(pivot_bg, bgs[:rc])
+        from_col, col_bits = streams(col_bg[:, None], wave_bg)
+        from_row, row_bits = streams(row_bg, wave_bg)
+        vec = np.r_[vec, (from_col + from_row).ravel()]
+        vec_bits = np.r_[vec_bits, (col_bits + row_bits).ravel()]
+        # Each of the b inner-product steps consumes a freshly broadcast
+        # vector from each source; with overlap, step t+1's vectors ride
+        # under step t's compute.
+        cycles = b * (np.maximum(step_cycles, vec) if cfg.pim.broadcast_overlap
+                      else step_cycles + vec)
+        np.add.at(busy, bgs, cycles)
+
+        # Broadcast 0 stages the pivot's first vector at the row/column tiles,
+        # broadcast 1 + t row/column tile t's first result vector at its
+        # consumers: wavefront column j for row tile j, row i for column tile i.
+        dst = np.zeros((2 * m - 1, width), dtype=bool)
+        dst[0, bgs[:rc]] = True
+        dst[1 + rows[:m - 1], wave_bg] = True
+        dst[m + rows[:m - 1, None], wave_bg] = True
+        src = np.r_[pivot_bg, bgs[:rc]]
+        fan = dst.reshape(2 * m - 1, width // g, g)
+        per_channel = fan.sum(axis=2)
+        hops = (per_channel - fan[rows, :, src % g]).max(axis=1)
+        reached = per_channel > 0
+        crossings = reached.sum(axis=1) - reached[rows, src // g]
+        bcast = np.maximum(1, (crossings > 0) + hops) * beats
+        tsv_bits += int(crossings.sum()) * vector_bits + int(vec_bits.sum())
+
+        # Row and column tiles start after the fill; the wavefront once the
+        # last of their result vectors is published on the TSV bus.
+        fill_end = update.cycles + int(bcast[0])
+        ends = fill_end + _scan(np.add, bgs[:rc], _ranks(bgs[:rc]), cycles[:rc])
+        sent = np.cumsum(bcast)
+        bcast_ends = sent + np.maximum.accumulate(np.r_[update.cycles, ends] - sent + bcast)
+        released = int(bcast_ends[-1])
+        ends = np.r_[ends, released + _scan(np.add, bgs[rc:], _ranks(bgs[rc:]), cycles[rc:])]
+        ch = bgs // g
+        p = _ranks(ch)
+        cpe_ends = (p + 1) * cpe.cycles + _scan(np.maximum, ch, p, ends - p * cpe.cycles)
         if events is not None:
-            events.append(PhaseEvent(EventKind.BROADCAST, k, pivot.target, "tsv",
-                                     pivot_end, fill_end, fill.counts))
-        group_free: dict[int, int] = {}
-        chan_free: dict[int, int] = {}
-        # Pivot-row and pivot-column tiles start after the fill, concurrent
-        # across bank-groups; the remaining-tile wavefront starts once the last
-        # of their result vectors is published on the TSV bus.
-        for r in updates:
-            wavefront = r.phase is TilePhase.REMAINING
-            bg = bank_group[r.target]
-            vec_cycles = vec_bits = 0
-            for src in r.sources:
-                if src != r.target:
-                    key = (bank_group[src], bg)
-                    q = vector_quotes.get(key)
-                    if q is None:
-                        q = vector_quotes[key] = broadcast_cost(key[0], (bg,), b, cfg)
-                    vec_cycles += q.cycles
-                    vec_bits += b * q.counts.tsv_bits
-            # Each of the b inner-product steps consumes a freshly broadcast
-            # vector from each source; with overlap, step t+1's vectors ride
-            # under step t's compute.
-            cycles = b * (max(step_cycles, vec_cycles) if overlap
-                          else step_cycles + vec_cycles)
-            tile_start = max(tsv_free if wavefront else fill_end,
-                             group_free.get(bg, start))
-            end = group_free[bg] = tile_start + cycles
-            busy[bg] += cycles
-            tsv_bits += vec_bits
-            ch = bg // g
-            cpe_start = max(end, chan_free.get(ch, start))
-            chan_free[ch] = cpe_start + cpe.cycles
-            if events is not None:
-                kind = EventKind.REMAINING_UPDATE if wavefront else EventKind.ROW_COL_UPDATE
-                events.append(PhaseEvent(kind, k, r.target, f"bg:{bg}", tile_start, end,
-                                         update.counts + OpCounts(tsv_bits=vec_bits)))
-                events.append(PhaseEvent(EventKind.CPE_REDUCE, k, r.target, f"ch:{ch}",
-                                         cpe_start, chan_free[ch], cpe.counts))
-            if wavefront:
-                continue
-            # Stage this tile's first result vector at its wavefront consumers.
-            ti, tj = r.target
-            if r.phase is TilePhase.PIVOT_ROW:
-                consumers = {bank_group[i, tj] for i in range(m) if i != k}
-            else:
-                consumers = {bank_group[ti, j] for j in range(m) if j != k}
-            f = broadcast_cost(bg, consumers, b, cfg)
-            f_start = max(end, tsv_free)
-            tsv_free = f_start + f.cycles
-            tsv_bits += f.counts.tsv_bits
-            if events is not None:
-                events.append(PhaseEvent(EventKind.BROADCAST, k, r.target, "tsv",
-                                         f_start, tsv_free, f.counts))
+            _emit(events, k, others.tolist(), g, update, cpe, bgs.tolist(), vec_bits.tolist(),
+                  (start + np.stack([ends - cycles, ends, cpe_ends])).tolist(),
+                  [*(start + np.stack([bcast_ends - bcast, bcast_ends])).tolist(),
+                   (crossings * vector_bits).tolist()])
         # The round ends with its last broadcast or channel-PE reduction.
-        start = max(tsv_free, *chan_free.values())
+        start += max(released, int(cpe_ends.max()))
 
     counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
               + OpCounts(tsv_bits=tsv_bits))
-    return SimResult(
-        n=n,
-        block_size=b,
-        tiles_per_row=m,
-        total_cycles=start,
-        total_time_ps=start * cfg.clock_period_ps,
-        bulk_load_cycles=cfg.pim.bulk_load_cycles,
-        counts=counts,
-        energy=energy_of(counts, cfg.energy),
-        per_bank_group_busy=busy,
-    )
+    return SimResult(n=n, block_size=b, tiles_per_row=m, total_cycles=start,
+                     total_time_ps=start * cfg.clock_period_ps,
+                     bulk_load_cycles=cfg.pim.bulk_load_cycles, counts=counts,
+                     energy=energy_of(counts, cfg.energy),
+                     per_bank_group_busy=busy.tolist())
+
+
+def _emit(events, k, others, g, update, cpe, bgs, vec_bits, spans, broadcasts) -> None:
+    """Append pivot round k's events after its pivot tile: the pivot fill, then
+    per update (bank-group, stream bits, spans: start, end, reduction end) its
+    tile event, reduction and, for a row or column tile, result broadcast."""
+    targets = ([(k, j) for j in others] + [(i, k) for i in others]
+               + [(i, j) for i in others for j in others])
+    published = [PhaseEvent(EventKind.BROADCAST, k, target, "tsv", start, end,
+                             OpCounts(tsv_bits=bits))
+                 for target, start, end, bits in zip([(k, k)] + targets, *broadcasts)]
+    events.append(published[0])
+    for t, (target, bg, bits, start, end, cpe_end) in enumerate(
+            zip(targets, bgs, vec_bits, *spans)):
+        rc = t < len(published) - 1
+        events.append(PhaseEvent(EventKind.ROW_COL_UPDATE if rc else EventKind.REMAINING_UPDATE,
+                                 k, target, f"bg:{bg}", start, end,
+                                 update.counts + OpCounts(tsv_bits=bits)))
+        events.append(PhaseEvent(EventKind.CPE_REDUCE, k, target, f"ch:{bg // g}",
+                                 cpe_end - cpe.cycles, cpe_end, cpe.counts))
+        if rc:
+            events.append(published[t + 1])
 
 
 def simulate(n: int, b: int, cfg: HbmConfig, *,
@@ -236,6 +296,13 @@ def timeline(n: int, b: int, cfg: HbmConfig, *,
     return events
 
 
+def check_functional_size(n: int) -> None:
+    """Refuse functional execution of an n-vertex matrix past the guard."""
+    if n > FUNCTIONAL_GUARD:
+        raise GuardError(f"functional execution is guarded at n <= {FUNCTIONAL_GUARD} "
+                         f"(got {n}); use the timing-only simulate() for larger runs")
+
+
 def simulate_functional(
     d: np.ndarray,
     b: int,
@@ -246,11 +313,7 @@ def simulate_functional(
     """Run the blocked algorithm for values and the scheduler for timing on
     the same workload. Returns (distance matrix, SimResult)."""
     n = d.shape[0]
-    if n > FUNCTIONAL_GUARD:
-        raise GuardError(
-            f"functional execution is guarded at n <= {FUNCTIONAL_GUARD} "
-            f"(got {n}); use the timing-only simulate() for larger runs"
-        )
+    check_functional_size(n)
     tiled = to_tile_major(d, b)
     result = simulate(n, b, cfg, enforce_wavefront=enforce_wavefront)
     return from_tile_major(fw_blocked(tiled), n), result

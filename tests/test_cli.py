@@ -6,12 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from fwsim import cli
+from fwsim import cli, scheduler
 
 RUN = ["run", "--nodes", "64", "--block-size", "16"]
 SWEEP = ["sweep", "--nodes", "64", "--block-size", "16", "--param", "channels",
          "--values", "4,8"]
 VERIFY = ["verify", "--nodes", "24", "--block-size", "8", "--trials", "2"]
+COMPARE = ["compare", "--report", "{tmp}/report.json", "--baseline-runtime", "1"]
 
 
 def invoke(argv, capsys):
@@ -27,6 +28,8 @@ def files(tmp_path):
     (tmp_path / "zero_time.json").write_text(
         '{"calibrated": {"total_time_seconds": 0, "energy_joules": 1.0}}')
     (tmp_path / "wrong_type.json").write_text('{"channels": "8"}')
+    (tmp_path / "report.json").write_text(
+        '{"calibrated": {"total_time_seconds": 1.0, "energy_joules": 1.0}}')
     for name, doc in CONFIG_DOCS.items():
         (tmp_path / f"{name}.json").write_text(doc)
     (tmp_path / "directory").mkdir()
@@ -60,6 +63,10 @@ BAD_INPUTS = {
     "run-out-directory": RUN + ["--out", "{tmp}/directory"],
     "run-wavefront-violated": ["run", "--nodes", "8192", "--block-size", "256"],
     "run-nodes-1e200": ["run", "--nodes", str(10**200), "--block-size", str(10**200)],
+    # Schedules whose cycle counts could pass 2^63 - 1, the scheduler's int64.
+    "run-nodes-1e7": ["run", "--nodes", "10000000", "--block-size", "10000000"],
+    "run-relaxed-m-1e12": ["run", "--nodes", str(10**12), "--block-size", "1",
+                           "--relax-wavefront"],
     "verify-nodes-0": ["verify", "--nodes", "0", "--block-size", "8"],
     "verify-block-size-0": ["verify", "--nodes", "8", "--block-size", "0"],
     "verify-no-nodes": ["verify", "--block-size", "8"],
@@ -67,7 +74,7 @@ BAD_INPUTS = {
     "verify-density-2": VERIFY + ["--density", "2"],
     "verify-graph": VERIFY + ["--graph", "{tmp}/missing.txt"],
     "verify-undirected": VERIFY + ["--undirected"],
-    # The functional guard (n <= 4096) trips before the reference runs.
+    # The functional guard (n <= 4096) trips before the graph is built.
     "verify-nodes-4097": ["verify", "--nodes", "4097", "--block-size", "4097",
                           "--trials", "1", "--density", "0.0001"],
     "sweep-block-size-0": ["sweep", "--nodes", "64", "--block-size", "0",
@@ -96,6 +103,11 @@ BAD_INPUTS = {
                                  "--baseline-runtime", "1"],
     "compare-runtime-0": ["compare", "--report", "{tmp}/partial.json",
                           "--baseline-runtime", "0"],
+    "compare-runtime-nan": COMPARE[:-1] + ["nan"],
+    "compare-runtime-inf": COMPARE[:-1] + ["inf"],
+    "compare-energy-nan": COMPARE + ["--baseline-energy", "nan"],
+    "compare-energy-inf": COMPARE + ["--baseline-energy", "inf"],
+    "compare-energy-negative": COMPARE + ["--baseline-energy", "-1"],
     "unknown-command": ["frobnicate"],
 }
 
@@ -106,6 +118,17 @@ def test_bad_input_is_a_usage_error(argv, files, capsys):
     assert code == cli.EXIT_USAGE, err
     assert "Traceback" not in err
     assert err.strip()
+
+
+def test_verify_checks_the_guard_before_building_a_graph(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_synthetic called past the functional guard")
+
+    monkeypatch.setattr(cli, "gen_synthetic", refuse)
+    code, _, err = invoke(["verify", "--nodes", scheduler.FUNCTIONAL_GUARD + 1,
+                           "--block-size", "8", "--trials", "1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "guarded" in err
 
 
 def test_verify_mismatch_exits_1(monkeypatch, capsys):
@@ -121,10 +144,11 @@ def test_run_and_compare(tmp_path, capsys):
     assert invoke(RUN + ["--out", report], capsys)[0] == cli.EXIT_OK
     modeled = json.loads(report.read_text())["modeled"]
     assert modeled["utilization"]["max"] > 0
-    code, out, _ = invoke(["compare", "--report", report,
-                           "--baseline-runtime", "1"], capsys)
+    code, out, _ = invoke(["compare", "--report", report, "--baseline-runtime", "1",
+                           "--baseline-energy", "1"], capsys)
     assert code == cli.EXIT_OK
     assert json.loads(out)["speedup"] > 0
+    assert json.loads(out)["energy_ratio"] > 0
 
 
 def test_verify_passes(capsys):

@@ -9,22 +9,32 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from fwsim import (
     INF,
-    TilePhase,
     build_distance_matrix,
     from_tile_major,
     fw_blocked,
     fw_reference,
     gen_synthetic,
-    min_plus,
-    saturating_add,
     tile_minplus_update,
     to_tile_major,
 )
-from fwsim.fw import full_trace, round_records
+from fwsim.fw import _minplus
+from reference_scheduler import TilePhase, full_trace, round_records
+
+
+def min_plus(d_ij: int, d_ik: int, d_kj: int) -> int:
+    """Scalar oracle of one relaxation: min(d_ij, d_ik + d_kj), the sum
+    saturating at INF."""
+    return min(d_ij, min(d_ik + d_kj, INF))
+
+
+def saturating_add(a, b) -> np.ndarray:
+    """Elementwise uint32 addition that saturates at INF instead of wrapping."""
+    return np.minimum(np.add(a, b, dtype=np.uint64), INF).astype(np.uint32)
 
 
 def enumerate_apsp(d):
@@ -86,6 +96,62 @@ class TestMinPlus:
         out = saturating_add(a, b)
         assert out.tolist() == [INF, INF, 3, INF]
         assert out.dtype == np.uint32
+
+
+# Distances at and near INF, where a wrapping or clamping kernel would differ.
+DISTANCES = st.one_of(
+    st.sampled_from([0, 1, 2, INF // 2, INF // 2 + 1, INF - 2, INF - 1, INF]),
+    st.integers(0, INF),
+)
+
+
+def scalar_minplus(out, left, right):
+    """_minplus written out one element at a time: step t relaxes out[s, r, c]
+    with left[s, r, t] + right[s, t, c], both read as they stood before step t
+    (an operand that is out reads out's values after step t - 1)."""
+    result = out.astype(object)
+    left, right = (result if a is out else a for a in (left, right))
+    for t in range(left.shape[-1]):
+        lt, rt = left[..., :, t].copy(), right[..., t, :].copy()
+        for s, r, c in np.ndindex(result.shape):
+            result[s, r, c] = min_plus(result[s, r, c], int(lt[s, r]), int(rt[s, c]))
+    return result.astype(np.uint32)
+
+
+@st.composite
+def stacks(draw, aliased):
+    """(out, left, right) uint32 stacks: one square matrix used three times,
+    or three stacks of compatible shapes."""
+    s, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    t, c = (r, r) if aliased else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+
+    def array(shape):
+        values = draw(st.lists(DISTANCES, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        return np.array(values, dtype=np.uint32).reshape(shape)
+
+    out = array((s, r, c))
+    return (out, out, out) if aliased else (out, array((s, r, t)), array((s, t, c)))
+
+
+class TestMinPlusKernel:
+    """_minplus against the scalar saturating oracle, operands near and at INF."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(stacks(aliased=False))
+    def test_unaliased(self, case):
+        out, left, right = case
+        expected = scalar_minplus(out, left, right)
+        _minplus(out, left, right)
+        assert np.array_equal(out, expected)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(stacks(aliased=True))
+    def test_aliased(self, case):
+        out, _, _ = case
+        expected = scalar_minplus(out, out, out)
+        _minplus(out, out, out)
+        assert np.array_equal(out, expected)
 
 
 class TestReference:
