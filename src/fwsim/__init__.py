@@ -14,7 +14,6 @@ from .graphs import (
 from .fw import (
     fw_blocked,
     fw_reference,
-    tile_minplus_update,
 )
 from .hbm import (
     HbmConfig,
@@ -52,7 +51,6 @@ __all__ = [
     "to_tile_major",
     "fw_blocked",
     "fw_reference",
-    "tile_minplus_update",
     "default_config",
     "load_config",
     "map_tile_to_bank_group",

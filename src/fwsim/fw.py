@@ -3,56 +3,53 @@ path runs on, the O(N^3) reference and the blocked variant.
 
 All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
 and any finite sum that would overflow 32 bits saturates to INF. The kernel
-adds in uint64 and never clamps: every distance it relaxes is <= INF, so
-min(d, min(s, INF)) == min(d, s), and the minimum always fits back in uint32.
+works in uint64 from cast-in to cast-out and never clamps: every distance it
+relaxes is <= INF, so a sum of two fits in 64 bits, min(d, min(s, INF)) ==
+min(d, s), and the final cast back to uint32 is exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import INF, TiledMatrix
+from .graphs import TiledMatrix
 
-# Upper bound on elements per chunk of the batched wavefront update: the
-# uint32 block plus the kernel's uint64 scratch of the same shape keep peak
-# temporary memory around 48 MB.
-_CHUNK_ELEMS = 4_000_000
+# Elements per chunk of the batched wavefront update (a chunk is at least one
+# row of tiles): the uint64 block plus the kernel's uint64 scratch of the same
+# shape take 1 MiB, one core's L2 on the AMD EPYC it was sized on.
+_CHUNK_ELEMS = 65_536
 
 
-def _minplus(out: np.ndarray, left, right) -> None:
+def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     """out = min(out, left (x) right) in place, over a stack of b x b tiles.
 
     One inner index t at a time, ascending: out[..., r, c] is relaxed with
     left[..., r, t] + right[..., t, c]. The sum for step t is formed in full
-    before out is written, so left and right may alias out.
+    before out is written, so left and right may alias out. All three must be
+    uint64 holding values <= INF; a uint32 operand would wrap on the add.
     """
+    if not out.dtype == left.dtype == right.dtype == np.uint64:
+        raise TypeError("_minplus needs uint64 operands, got "
+                        f"{out.dtype}, {left.dtype}, {right.dtype}")
     tmp = np.empty(out.shape, dtype=np.uint64)
     for t in range(left.shape[-1]):
-        np.add(left[..., :, t, None], right[..., t, None, :], out=tmp, dtype=np.uint64)
-        np.minimum(out, tmp, out=out, casting="unsafe")
+        np.add(left[..., :, t, None], right[..., t, None, :], out=tmp)
+        np.minimum(out, tmp, out=out)
 
 
 def fw_reference(d: np.ndarray) -> np.ndarray:
     """Reference all-pairs shortest paths: the classic k-outermost triple loop
-    (inner two loops vectorized; identical results for unsigned weights)."""
+    (inner two loops vectorized; identical results for unsigned weights).
+
+    Holds a uint64 working copy of d and an equal scratch, 16 * n^2 bytes
+    (256 MiB at the functional guard, n = 4096).
+    """
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("distance matrix must be square")
-    out = d.astype(np.uint32, copy=True)
+    out = d.astype(np.uint64)
     _minplus(out, out, out)
-    return out
-
-
-def tile_minplus_update(a_ij: np.ndarray, a_ik: np.ndarray, a_kj: np.ndarray) -> np.ndarray:
-    """Min-plus matrix product accumulated into a_ij:
-    result[r][c] = min(a_ij[r][c], min over t of a_ik[r][t] + a_kj[t][c]).
-
-    The inner reduction runs t-ascending; the accumulator is a fresh copy, so
-    the inputs are read as snapshots even when a_kj aliases a_ij.
-    """
-    out = a_ij.astype(np.uint32, copy=True)
-    _minplus(out, a_ik, a_kj)
-    return out
+    return out.astype(np.uint32)
 
 
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:
@@ -63,7 +60,7 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     tile is relaxed against its row/column tiles. Returns the updated matrix,
     which equals fw_reference on the flattened matrix, element-exact.
     """
-    tiles = t.tiles.copy()
+    tiles = t.tiles.astype(np.uint64)
     for k in range(t.m):
         pivot = tiles[k, k]
         _minplus(pivot, pivot, pivot)
@@ -85,4 +82,4 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
             block = tiles[chunk]
             _minplus(block, col[lo:lo + step, None], row[None])
             tiles[chunk] = block
-    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=tiles)
+    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=tiles.astype(np.uint32))

@@ -19,9 +19,9 @@ from fwsim import (
     fw_blocked,
     fw_reference,
     gen_synthetic,
-    tile_minplus_update,
     to_tile_major,
 )
+from fwsim import fw
 from fwsim.fw import _minplus
 from reference_scheduler import TilePhase, full_trace, round_records
 
@@ -35,6 +35,18 @@ def min_plus(d_ij: int, d_ik: int, d_kj: int) -> int:
 def saturating_add(a, b) -> np.ndarray:
     """Elementwise uint32 addition that saturates at INF instead of wrapping."""
     return np.minimum(np.add(a, b, dtype=np.uint64), INF).astype(np.uint32)
+
+
+def tile_minplus_update(a_ij, a_ik, a_kj):
+    """Min-plus matrix product accumulated into a copy of a_ij, on uint32 tiles:
+    result[r][c] = min(a_ij[r][c], min over t of a_ik[r][t] + a_kj[t][c]).
+
+    The kernel runs on uint64 copies, so the inputs are read as snapshots even
+    when a_kj aliases a_ij; the result is cast back to uint32.
+    """
+    out = a_ij.astype(np.uint64)
+    _minplus(out, a_ik.astype(np.uint64), a_kj.astype(np.uint64))
+    return out.astype(np.uint32)
 
 
 def enumerate_apsp(d):
@@ -120,7 +132,7 @@ def scalar_minplus(out, left, right):
 
 @st.composite
 def stacks(draw, aliased):
-    """(out, left, right) uint32 stacks: one square matrix used three times,
+    """(out, left, right) uint64 stacks: one square matrix used three times,
     or three stacks of compatible shapes."""
     s, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     t, c = (r, r) if aliased else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
@@ -128,7 +140,7 @@ def stacks(draw, aliased):
     def array(shape):
         values = draw(st.lists(DISTANCES, min_size=int(np.prod(shape)),
                                max_size=int(np.prod(shape))))
-        return np.array(values, dtype=np.uint32).reshape(shape)
+        return np.array(values, dtype=np.uint64).reshape(shape)
 
     out = array((s, r, c))
     return (out, out, out) if aliased else (out, array((s, r, t)), array((s, t, c)))
@@ -152,6 +164,14 @@ class TestMinPlusKernel:
         expected = scalar_minplus(out, out, out)
         _minplus(out, out, out)
         assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("narrow", range(3))
+    def test_rejects_a_uint32_operand(self, narrow):
+        # Without the check, a uint32 operand would make the add wrap.
+        operands = [np.full((1, 2, 2), INF, dtype=np.uint64) for _ in range(3)]
+        operands[narrow] = operands[narrow].astype(np.uint32)
+        with pytest.raises(TypeError):
+            _minplus(*operands)
 
 
 class TestReference:
@@ -340,6 +360,17 @@ class TestBlocked:
         first_col = phases.index(TilePhase.PIVOT_COL)
         assert phases[0] is TilePhase.PIVOT_FW
         assert first_row < first_col
+
+    @pytest.mark.parametrize("n", [40, 37])
+    # At b=4 and m=10 a wavefront row holds 9 * 16 elements: 1 and b*b give
+    # one row per chunk, 4 * 9 * 16 gives chunks of 4, 4 and 1 rows.
+    @pytest.mark.parametrize("chunk", [1, 16, 4 * 9 * 16])
+    def test_multi_chunk_wavefront(self, monkeypatch, n, chunk):
+        monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
+        d = build_distance_matrix(gen_synthetic(n, 0.05, seed=22))
+        out = fw_blocked(to_tile_major(d, 4))
+        assert out.m == 10
+        assert np.array_equal(from_tile_major(out, n), fw_reference(d))
 
     def test_blocked_idempotent_under_re_run(self):
         d = build_distance_matrix(gen_synthetic(20, 0.4, seed=21))

@@ -1,10 +1,12 @@
-"""fw_reference, fw_blocked and tile_minplus_update against a golden captured
-from the functional kernels before they were folded onto one min-plus kernel.
+"""fw_reference, fw_blocked and the min-plus tile kernel against a golden
+captured from the functional kernels before they were folded onto one
+min-plus kernel.
 
 fw_golden.json holds, per case, one sha256 over the uint32 bytes of four
 outputs in turn: fw_reference on a synthetic graph, fw_blocked on its
-tile-major layout (read back with from_tile_major), and tile_minplus_update
-on three random b x b tiles, once unaliased (a, p, c) and once aliased
+tile-major layout (read back with from_tile_major), and test_fw's
+tile_minplus_update (fw._minplus on uint64 copies, read back as uint32) on
+three random b x b tiles, once unaliased (a, p, c) and once aliased
 (a, p, a). Tile values reach 2**32 - 1 (INF) and, with the large weight
 range, their sums overflow 32 bits.
 
@@ -25,9 +27,9 @@ from fwsim import (
     fw_blocked,
     fw_reference,
     gen_synthetic,
-    tile_minplus_update,
     to_tile_major,
 )
+from test_fw import tile_minplus_update
 
 GOLDEN_PATH = Path(__file__).with_name("fw_golden.json")
 NODES = (1, 2, 7, 16, 33, 64, 100, 130)
