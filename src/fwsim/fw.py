@@ -3,21 +3,39 @@ path runs on, the O(N^3) reference and the blocked variant.
 
 All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
 and any finite sum that would overflow 32 bits saturates to INF. The kernel
-works in uint64 from cast-in to cast-out and never clamps: every distance it
-relaxes is <= INF, so a sum of two fits in 64 bits, min(d, min(s, INF)) ==
-min(d, s), and the final cast back to uint32 is exact.
+never clamps: it works from cast-in to cast-out below a cap, so no sum of two
+wraps, and capped (min, +) returns min(distance, cap). The cap is 2^31 - 1 in
+uint32, INF mapped to it, when max(n - 1, 1) times the largest finite entry is
+below it, so no finite distance can reach it; otherwise INF in uint64.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graphs import TiledMatrix
+from .graphs import INF, TiledMatrix
 
 # Elements per chunk of the batched wavefront update (a chunk is at least one
-# row of tiles): the uint64 block plus the kernel's uint64 scratch of the same
-# shape take 1 MiB, one core's L2 on the AMD EPYC it was sized on.
+# row of tiles): block plus kernel scratch take 1 MiB in uint64 (512 KiB in
+# uint32), one core's L2 on the AMD EPYC it was sized on.
 _CHUNK_ELEMS = 65_536
+_NARROW_CAP = 2**31 - 1
+
+
+def _cast_in(d: np.ndarray, n: int) -> np.ndarray:
+    """Working copy of d for an n x n run: uint32 with INF mapped to
+    _NARROW_CAP when no finite distance can reach the cap, else uint64."""
+    w = int(np.max(d, where=d != INF, initial=0))
+    if max(n - 1, 1) * w < _NARROW_CAP:
+        return np.minimum(d, _NARROW_CAP, dtype=np.uint32, casting="unsafe")
+    return d.astype(np.uint64)
+
+
+def _cast_out(work: np.ndarray) -> np.ndarray:
+    """The uint32 distances held by a working copy from _cast_in."""
+    if work.dtype == np.uint32:
+        work[work >= _NARROW_CAP] = INF
+    return work.astype(np.uint32, copy=False)
 
 
 def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
@@ -25,13 +43,15 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
     One inner index t at a time, ascending: out[..., r, c] is relaxed with
     left[..., r, t] + right[..., t, c]. The sum for step t is formed in full
-    before out is written, so left and right may alias out. All three must be
-    uint64 holding values <= INF; a uint32 operand would wrap on the add.
+    before out is written, so left and right may alias out. All three must
+    share one dtype, uint32 holding values <= 2^31 - 1 or uint64 holding
+    values <= INF, so that no sum wraps.
     """
-    if not out.dtype == left.dtype == right.dtype == np.uint64:
-        raise TypeError("_minplus needs uint64 operands, got "
-                        f"{out.dtype}, {left.dtype}, {right.dtype}")
-    tmp = np.empty(out.shape, dtype=np.uint64)
+    if not (out.dtype == left.dtype == right.dtype
+            and out.dtype in (np.uint32, np.uint64)):
+        raise TypeError("_minplus needs uint32 or uint64 operands of one "
+                        f"dtype, got {out.dtype}, {left.dtype}, {right.dtype}")
+    tmp = np.empty(out.shape, dtype=out.dtype)
     for t in range(left.shape[-1]):
         np.add(left[..., :, t, None], right[..., t, None, :], out=tmp)
         np.minimum(out, tmp, out=out)
@@ -41,15 +61,15 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
     """Reference all-pairs shortest paths: the classic k-outermost triple loop
     (inner two loops vectorized; identical results for unsigned weights).
 
-    Holds a uint64 working copy of d and an equal scratch, 16 * n^2 bytes
-    (256 MiB at the functional guard, n = 4096).
+    Holds a working copy of d and an equal scratch: 8 * n^2 bytes in uint32,
+    16 * n^2 in uint64 (128 or 256 MiB at the functional guard, n = 4096).
     """
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("distance matrix must be square")
-    out = d.astype(np.uint64)
+    out = _cast_in(d, n)
     _minplus(out, out, out)
-    return out.astype(np.uint32)
+    return _cast_out(out)
 
 
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:
@@ -60,7 +80,7 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     tile is relaxed against its row/column tiles. Returns the updated matrix,
     which equals fw_reference on the flattened matrix, element-exact.
     """
-    tiles = t.tiles.astype(np.uint64)
+    tiles = _cast_in(t.tiles, t.n)
     for k in range(t.m):
         pivot = tiles[k, k]
         _minplus(pivot, pivot, pivot)
@@ -82,4 +102,4 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
             block = tiles[chunk]
             _minplus(block, col[lo:lo + step, None], row[None])
             tiles[chunk] = block
-    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=tiles.astype(np.uint32))
+    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=_cast_out(tiles))

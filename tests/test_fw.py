@@ -115,6 +115,12 @@ DISTANCES = st.one_of(
     st.sampled_from([0, 1, 2, INF // 2, INF // 2 + 1, INF - 2, INF - 1, INF]),
     st.integers(0, INF),
 )
+# The same at and near the uint32 working width's cap, 2^31 - 1.
+CAP = 2**31 - 1
+NARROW_DISTANCES = st.one_of(
+    st.sampled_from([0, 1, 2, CAP // 2, CAP // 2 + 1, CAP - 2, CAP - 1, CAP]),
+    st.integers(0, CAP),
+)
 
 
 def scalar_minplus(out, left, right):
@@ -131,23 +137,26 @@ def scalar_minplus(out, left, right):
 
 
 @st.composite
-def stacks(draw, aliased):
-    """(out, left, right) uint64 stacks: one square matrix used three times,
-    or three stacks of compatible shapes."""
+def stacks(draw, aliased, dtype=np.uint64):
+    """(out, left, right) stacks of dtype, uint64 drawn up to INF or uint32 up
+    to CAP: one square matrix used three times, or three stacks of compatible
+    shapes."""
+    distances = DISTANCES if dtype == np.uint64 else NARROW_DISTANCES
     s, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     t, c = (r, r) if aliased else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
 
     def array(shape):
-        values = draw(st.lists(DISTANCES, min_size=int(np.prod(shape)),
+        values = draw(st.lists(distances, min_size=int(np.prod(shape)),
                                max_size=int(np.prod(shape))))
-        return np.array(values, dtype=np.uint64).reshape(shape)
+        return np.array(values, dtype=dtype).reshape(shape)
 
     out = array((s, r, c))
     return (out, out, out) if aliased else (out, array((s, r, t)), array((s, t, c)))
 
 
 class TestMinPlusKernel:
-    """_minplus against the scalar saturating oracle, operands near and at INF."""
+    """_minplus against the scalar saturating oracle: uint64 operands near and
+    at INF, uint32 operands near and at CAP."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(stacks(aliased=False))
@@ -165,11 +174,34 @@ class TestMinPlusKernel:
         _minplus(out, out, out)
         assert np.array_equal(out, expected)
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(stacks(aliased=False, dtype=np.uint32))
+    def test_unaliased_uint32(self, case):
+        out, left, right = case
+        expected = scalar_minplus(out, left, right)
+        _minplus(out, left, right)
+        assert np.array_equal(out, expected)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(stacks(aliased=True, dtype=np.uint32))
+    def test_aliased_uint32(self, case):
+        out, _, _ = case
+        expected = scalar_minplus(out, out, out)
+        _minplus(out, out, out)
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("narrow", range(3))
     def test_rejects_a_uint32_operand(self, narrow):
-        # Without the check, a uint32 operand would make the add wrap.
+        # Mixed widths: the scratch takes out's dtype, so uint64 operands
+        # summed into a uint32 scratch would wrap.
         operands = [np.full((1, 2, 2), INF, dtype=np.uint64) for _ in range(3)]
         operands[narrow] = operands[narrow].astype(np.uint32)
+        with pytest.raises(TypeError):
+            _minplus(*operands)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+    def test_rejects_other_dtypes(self, dtype):
+        operands = [np.zeros((1, 2, 2), dtype=dtype) for _ in range(3)]
         with pytest.raises(TypeError):
             _minplus(*operands)
 
@@ -223,6 +255,65 @@ class TestReference:
         snapshot = d.copy()
         fw_reference(d)
         assert np.array_equal(d, snapshot)
+
+
+def scalar_fw(d):
+    """Floyd-Warshall one relaxation at a time on the scalar min_plus oracle;
+    unlike enumerate_apsp it keeps a nonzero diagonal and takes n = 0."""
+    out = d.astype(object)
+    for k in range(len(d)):
+        for i in range(len(d)):
+            for j in range(len(d)):
+                out[i, j] = min_plus(out[i, j], out[i, k], out[k, j])
+    return out.astype(np.uint32)
+
+
+def path_graph(n, w):
+    """0 -> 1 -> ... -> n - 1, every edge of weight w."""
+    d = np.full((n, n), INF, dtype=np.uint32)
+    np.fill_diagonal(d, 0)
+    d[np.arange(n - 1), np.arange(1, n)] = w
+    return d
+
+
+class TestWidth:
+    """Each kernel works in uint32 exactly when max(n - 1, 1) times the largest
+    finite entry is below 2^31 - 1, and returns the same distances either way."""
+
+    CASES = {
+        # A plain (n - 1) bound would take this narrow and wrap 3e9.
+        "one-vertex-3e9": (np.array([[3_000_000_000]], dtype=np.uint32), np.uint64),
+        # (n - 1) * w = 6 * 357_913_941 = 2^31 - 2, the chain 0 -> 6.
+        "path-cap-minus-1": (path_graph(7, (2**31 - 2) // 6), np.uint32),
+        # (n - 1) * w = 2^31 - 1, which is prime: n = 2.
+        "path-at-cap": (path_graph(2, 2**31 - 1), np.uint64),
+        "no-edges": (path_graph(5, INF), np.uint32),
+        "empty": (np.zeros((0, 0), dtype=np.uint32), np.uint32),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_reference(self, name):
+        d, width = self.CASES[name]
+        n = len(d)
+        assert fw._cast_in(d, n).dtype == width
+        got = fw_reference(d)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, scalar_fw(d))
+        if name.startswith("path"):
+            assert np.array_equal(got, enumerate_apsp(d))
+            assert int(got[0, n - 1]) == (n - 1) * int(d[0, 1])
+
+    @pytest.mark.parametrize("name", CASES)
+    @pytest.mark.parametrize("whole", [False, True], ids=["b=1", "b=n"])
+    def test_blocked(self, name, whole):
+        d, width = self.CASES[name]
+        n = len(d)
+        t = to_tile_major(d, max(n, 1) if whole else 1)
+        assert t.n == max(n, 1)
+        assert fw._cast_in(t.tiles, t.n).dtype == width
+        out = fw_blocked(t)
+        assert out.tiles.dtype == np.uint32
+        assert np.array_equal(from_tile_major(out, n), scalar_fw(d))
 
 
 class TestTileKernels:

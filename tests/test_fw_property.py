@@ -12,7 +12,10 @@ from scipy.sparse.csgraph import floyd_warshall
 
 from fwsim import INF, from_tile_major, fw_blocked, fw_reference, to_tile_major
 
-WEIGHT_RANGES = ((1, 10), (1, 1000), (2**31, INF - 1), (INF - 100, INF - 1))
+# (2^31 // 48, 2^31 // 32) straddles the kernels' uint32/uint64 switch, at
+# (n - 1) * w = 2^31 - 1, for n - 1 in [32, 48), so draws of n <= 40 hit both.
+WEIGHT_RANGES = ((1, 10), (1, 1000), (2**31 // 48, 2**31 // 32),
+                 (2**31, INF - 1), (INF - 100, INF - 1))
 
 
 @st.composite
