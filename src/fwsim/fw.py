@@ -1,5 +1,5 @@
-"""Bit-exact Floyd-Warshall: the in-place min-plus tile kernel that every
-path runs on, the O(N^3) reference and the blocked variant.
+"""Bit-exact Floyd-Warshall: the in-place min-plus kernel that every path
+runs on, the O(N^3) reference and the blocked variant.
 
 All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
 and any finite sum that would overflow 32 bits saturates to INF. The kernel
@@ -7,6 +7,7 @@ never clamps: it works from cast-in to cast-out below a cap, so no sum of two
 wraps, and capped (min, +) returns min(distance, cap). The cap is 2^31 - 1 in
 uint32, INF mapped to it, when max(n - 1, 1) times the largest finite entry is
 below it, so no finite distance can reach it; otherwise INF in uint64.
+fw_blocked relaxes its row-major working copy in bands of whole rows.
 """
 
 from __future__ import annotations
@@ -15,20 +16,20 @@ import numpy as np
 
 from .graphs import INF, TiledMatrix
 
-# Elements per chunk of the batched wavefront update (a chunk is at least one
-# row of tiles): block plus kernel scratch take 1 MiB in uint64 (512 KiB in
-# uint32), one core's L2 on the AMD EPYC it was sized on.
+# Elements per band of fw_blocked's wavefront update (a band is at least one
+# row of the matrix): band plus kernel scratch take 1 MiB in uint64 (512 KiB
+# in uint32), one core's L2 on the AMD EPYC it was sized on.
 _CHUNK_ELEMS = 65_536
 _NARROW_CAP = 2**31 - 1
 
 
 def _cast_in(d: np.ndarray, n: int) -> np.ndarray:
-    """Working copy of d for an n x n run: uint32 with INF mapped to
+    """C-ordered working copy of d for an n x n run: uint32 with INF mapped to
     _NARROW_CAP when no finite distance can reach the cap, else uint64."""
     w = int(np.max(d, where=d != INF, initial=0))
     if max(n - 1, 1) * w < _NARROW_CAP:
-        return np.minimum(d, _NARROW_CAP, dtype=np.uint32, casting="unsafe")
-    return d.astype(np.uint64)
+        return np.minimum(d, _NARROW_CAP, dtype=np.uint32, casting="unsafe", order="C")
+    return d.astype(np.uint64, order="C")
 
 
 def _cast_out(work: np.ndarray) -> np.ndarray:
@@ -39,13 +40,15 @@ def _cast_out(work: np.ndarray) -> np.ndarray:
 
 
 def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """out = min(out, left (x) right) in place, over a stack of b x b tiles.
+    """out = min(out, left (x) right) in place, over matrices or stacks of
+    them: out[..., r, c], left[..., r, t], right[..., t, c].
 
-    One inner index t at a time, ascending: out[..., r, c] is relaxed with
-    left[..., r, t] + right[..., t, c]. The sum for step t is formed in full
-    before out is written, so left and right may alias out. All three must
-    share one dtype, uint32 holding values <= 2^31 - 1 or uint64 holding
-    values <= INF, so that no sum wraps.
+    One inner index t at a time, ascending. The sum for step t is formed in
+    full before out is written, so left and right may alias out; an aliased
+    operand then holds at step t what steps < t wrote, which makes
+    _minplus(d, d, d) Floyd-Warshall (fw_reference). All three must share one
+    dtype, uint32 holding values <= 2^31 - 1 or uint64 holding values <= INF,
+    so that no sum wraps.
     """
     if not (out.dtype == left.dtype == right.dtype
             and out.dtype in (np.uint32, np.uint64)):
@@ -73,33 +76,30 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
 
 
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:
-    """Blocked Floyd-Warshall over a tiled matrix.
+    """Blocked Floyd-Warshall over a tiled matrix, on one row-major copy d.
 
-    Per pivot round k: the pivot tile gets an in-tile FW pass, then the pivot
-    row and column are updated against the fresh pivot, then every remaining
-    tile is relaxed against its row/column tiles. Returns the updated matrix,
-    which equals fw_reference on the flattened matrix, element-exact.
+    Round k, K the rows and columns of pivot tile k: close P = d[K, K], relax
+    the pivot row R = d[K] against P (its K columns stay: P (x) P >= P once P
+    is closed), then relax every other row, in bands, against its pre-round
+    pivot columns C and the new row Q (x) R, Q = I (+) P. As Q is idempotent,
+    C (x) Q (x) R = (C (x) Q) (x) (Q (x) R), and the K columns get
+    C (+) C (x) P = C (x) Q: the bands do the pivot-column update too. The
+    four-phase tile order lives in the scheduler and the tests' naive_blocked.
+    Returns tiles that view the row-major result, equal to fw_reference's.
     """
-    tiles = _cast_in(t.tiles, t.n)
-    for k in range(t.m):
-        pivot = tiles[k, k]
+    n, b, m = t.n, t.b, t.m
+    d = _cast_in(t.tiles.swapaxes(1, 2), n).reshape(n, n)
+    band = max(1, _CHUNK_ELEMS // n)
+    for lo in range(0, n, b):
+        hi = lo + b
+        pivot = d[lo:hi, lo:hi]
         _minplus(pivot, pivot, pivot)
-        others = [i for i in range(t.m) if i != k]
-        if not others:
+        if m == 1:
             continue
-        # Row and column stacks are fancy-indexed copies, relaxed against a
-        # snapshot of themselves and written back.
-        row = tiles[k, others]
-        _minplus(row, pivot[None], row.copy())
-        tiles[k, others] = row
-        col = tiles[others, k]
-        _minplus(col, col.copy(), pivot[None])
-        tiles[others, k] = col
-        # The wavefront, chunked along i to bound temporary memory.
-        step = max(1, _CHUNK_ELEMS // (len(others) * t.b * t.b))
-        for lo in range(0, len(others), step):
-            chunk = np.ix_(others[lo:lo + step], others)
-            block = tiles[chunk]
-            _minplus(block, col[lo:lo + step, None], row[None])
-            tiles[chunk] = block
-    return TiledMatrix(n=t.n, b=t.b, m=t.m, tiles=_cast_out(tiles))
+        row = d[lo:hi]
+        _minplus(row, pivot.copy(), row.copy())
+        for start, stop in ((0, lo), (hi, n)):
+            for r in range(start, stop, band):
+                block = d[r:min(r + band, stop)]
+                _minplus(block, block[:, lo:hi].copy(), row)
+    return TiledMatrix(n, b, m, _cast_out(d).reshape(m, b, m, b).swapaxes(1, 2))

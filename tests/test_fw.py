@@ -368,8 +368,9 @@ class TestTileKernels:
 
 
 def naive_blocked(t):
-    """Per-record blocked FW written directly from the three-phase loop;
-    used to pin the batched implementation."""
+    """Blocked FW one tile at a time, in the four phases of each round (pivot,
+    pivot row, pivot column, wavefront); used to pin fw_blocked, which folds
+    the pivot column into its row bands."""
     tiles = t.tiles.copy()
     for k in range(t.m):
         tiles[k, k] = fw_reference(tiles[k, k])
@@ -453,9 +454,12 @@ class TestBlocked:
         assert first_row < first_col
 
     @pytest.mark.parametrize("n", [40, 37])
-    # At b=4 and m=10 a wavefront row holds 9 * 16 elements: 1 and b*b give
-    # one row per chunk, 4 * 9 * 16 gives chunks of 4, 4 and 1 rows.
-    @pytest.mark.parametrize("chunk", [1, 16, 4 * 9 * 16])
+    # Both pad to 40 rows at b=4 (m=10); round k relaxes 4k rows above the
+    # pivot rows and 36 - 4k below, in bands of _CHUNK_ELEMS // 40 rows.
+    # Chunk 1 gives 1-row bands; 576 gives 14-row bands, several with a
+    # ragged last band on both sides at k=4 (14 + 2 above, 14 + 6 below) and
+    # k=5 (14 + 6 above, 14 + 2 below); 36 * 40 gives one band a side.
+    @pytest.mark.parametrize("chunk", [1, 576, 36 * 40])
     def test_multi_chunk_wavefront(self, monkeypatch, n, chunk):
         monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
         d = build_distance_matrix(gen_synthetic(n, 0.05, seed=22))
@@ -468,3 +472,51 @@ class TestBlocked:
         t1 = fw_blocked(to_tile_major(d, 5))
         t2 = fw_blocked(t1)
         assert t1 == t2
+
+    @pytest.mark.parametrize("weights", [(1, 100), (2_000_000_000, 4_000_000_000)],
+                             ids=["uint32", "uint64"])
+    def test_input_not_mutated(self, weights):
+        d = build_distance_matrix(gen_synthetic(24, 0.3, weight_range=weights, seed=23))
+        t = to_tile_major(d, 5)
+        before = t.tiles.tobytes()
+        width = fw._cast_in(t.tiles, t.n).dtype
+        fw_blocked(t)
+        assert width == (np.uint32 if weights[0] == 1 else np.uint64)
+        assert t.tiles.tobytes() == before
+
+
+def arbitrary_matrix(rng, n, top):
+    """n x n uint32 entries drawn from 0..top - 1, the diagonal included, about
+    a third of them INF, and one entry set to top - 1 so the largest finite
+    entry is known."""
+    d = rng.integers(0, top, size=(n, n), dtype=np.uint64).astype(np.uint32)
+    d[rng.random((n, n)) < 1 / 3] = INF
+    d[rng.integers(n), rng.integers(n)] = top - 1
+    return d
+
+
+class TestFold:
+    """fw_blocked has no pivot-column phase: its row bands relax the pivot
+    columns C to C (x) (I (+) P). Every golden and property input has a zero
+    diagonal; here the diagonal is drawn like any entry, and entries in both
+    directions make every pivot tile of two or more vertices hold cycles, so
+    closing a pivot tile can lower its diagonal. naive_blocked, which runs
+    the four phases tile by tile, must agree element for element."""
+
+    @pytest.mark.parametrize("n, b", [
+        (7, 1), (7, 2), (7, 3), (7, 6), (7, 7),
+        (10, 1), (10, 2), (10, 3), (10, 9), (10, 10),
+    ])
+    # The working width is uint32 while the largest finite entry is at most
+    # limit = (2^31 - 2) // (padded n - 1), and uint64 from limit + 1 on.
+    @pytest.mark.parametrize("largest", ["limit", "limit+1", "INF-1"])
+    def test_matches_naive_blocked(self, n, b, largest):
+        padded = -(-n // b) * b
+        limit = (2**31 - 2) // max(padded - 1, 1)
+        top = {"limit": limit + 1, "limit+1": limit + 2, "INF-1": INF}[largest]
+        width = np.uint32 if largest == "limit" else np.uint64
+        rng = np.random.default_rng([n, b, top])
+        for _ in range(4):
+            t = to_tile_major(arbitrary_matrix(rng, n, top), b)
+            assert fw._cast_in(t.tiles, t.n).dtype == width
+            assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
