@@ -8,6 +8,10 @@ wraps, and capped (min, +) returns min(distance, cap). The cap is 2^31 - 1 in
 uint32, INF mapped to it, when max(n - 1, 1) times the largest finite entry is
 below it, so no finite distance can reach it; otherwise INF in uint64.
 fw_blocked relaxes its row-major working copy in bands of whole rows.
+Both kernels skip a row whose pivot-column entries all sit at the cap: its
+sums are >= the cap >= its entries. While few rows are live, as in a sparse
+graph's early steps, _relax_live gathers those; from the first step or round
+where dense bands take fewer passes, every later one runs dense, unchecked.
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ import numpy as np
 
 from .graphs import INF, TiledMatrix
 
-# Elements per band of fw_blocked's wavefront update (a band is at least one
-# row of the matrix): band plus kernel scratch take 1 MiB in uint64 (512 KiB
-# in uint32), one core's L2 on the AMD EPYC it was sized on.
+# Elements per band of rows relaxed at once, a view in fw_blocked's dense
+# rounds or a gathered copy in _relax_live (a band is at least one row of the
+# matrix): band plus kernel scratch take 1 MiB in uint64 (512 KiB in uint32),
+# one core's L2 on the AMD EPYC it was sized on.
 _CHUNK_ELEMS = 65_536
 _NARROW_CAP = 2**31 - 1
 
@@ -60,18 +65,43 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
         np.minimum(out, tmp, out=out)
 
 
+def _relax_live(d: np.ndarray, lo: int, hi: int, right: np.ndarray) -> bool:
+    """d[i] = min(d[i], d[i, lo:hi] (x) right) for each live row i: outside
+    lo:hi, with a pivot entry d[i, lo:hi] below the working cap. Gathers them
+    in bands and returns True, or relaxes nothing and returns False when dense
+    bands take fewer passes: live * (h + 1) >= h * (n - h), h = hi - lo."""
+    n, h = d.shape[0], hi - lo
+    mask = (d[:, lo:hi] < (_NARROW_CAP if d.dtype == np.uint32 else INF)).any(axis=1)
+    mask[lo:hi] = False
+    live = np.flatnonzero(mask)
+    if len(live) * (h + 1) >= h * (n - h):
+        return False
+    band = max(1, _CHUNK_ELEMS // n)
+    for r in range(0, len(live), band):
+        rows = live[r:r + band]
+        block = d[rows]
+        _minplus(block, block[:, lo:hi].copy(), right)
+        d[rows] = block
+    return True
+
+
 def fw_reference(d: np.ndarray) -> np.ndarray:
     """Reference all-pairs shortest paths: the classic k-outermost triple loop
-    (inner two loops vectorized; identical results for unsigned weights).
+    (inner two loops vectorized; identical results for unsigned weights):
+    gathered steps while _relax_live takes them, then one dense _minplus.
 
     Holds a working copy of d and an equal scratch: 8 * n^2 bytes in uint32,
-    16 * n^2 in uint64 (128 or 256 MiB at the functional guard, n = 4096).
+    16 * n^2 in uint64 (128 or 256 MiB at the functional guard, n = 4096); a
+    gathered step's band and scratch take at most _CHUNK_ELEMS elements each.
     """
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("distance matrix must be square")
     out = _cast_in(d, n)
-    _minplus(out, out, out)
+    k = 0
+    while k < n and _relax_live(out, k, k + 1, out[k:k + 1]):
+        k += 1
+    _minplus(out, out[:, k:], out[k:])
     return _cast_out(out)
 
 
@@ -83,13 +113,17 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     is closed), then relax every other row, in bands, against its pre-round
     pivot columns C and the new row Q (x) R, Q = I (+) P. As Q is idempotent,
     C (x) Q (x) R = (C (x) Q) (x) (Q (x) R), and the K columns get
-    C (+) C (x) P = C (x) Q: the bands do the pivot-column update too. The
-    four-phase tile order lives in the scheduler and the tests' naive_blocked.
-    Returns tiles that view the row-major result, equal to fw_reference's.
+    C (+) C (x) P = C (x) Q: the bands do the pivot-column update too. A row
+    whose C entries all sit at the cap is unchanged, as C (x) Q (x) R and
+    C (x) Q are then >= the cap too; while few rows are live, _relax_live
+    relaxes only those. The four-phase tile order lives in the scheduler and
+    the tests' naive_blocked. Returns tiles that view the row-major result,
+    equal to fw_reference's.
     """
     n, b, m = t.n, t.b, t.m
     d = _cast_in(t.tiles.swapaxes(1, 2), n).reshape(n, n)
     band = max(1, _CHUNK_ELEMS // n)
+    sparse = True
     for lo in range(0, n, b):
         hi = lo + b
         pivot = d[lo:hi, lo:hi]
@@ -98,6 +132,9 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
             continue
         row = d[lo:hi]
         _minplus(row, pivot.copy(), row.copy())
+        if sparse and _relax_live(d, lo, hi, row):
+            continue
+        sparse = False
         for start, stop in ((0, lo), (hi, n)):
             for r in range(start, stop, band):
                 block = d[r:min(r + band, stop)]

@@ -177,7 +177,8 @@ class TiledMatrix:
 
 def to_tile_major(d: np.ndarray, block_size: int) -> TiledMatrix:
     """Re-layout a square matrix into b x b tiles, padding n up to a multiple
-    of b with path-neutral rows/columns (INF off-diagonal, 0 on-diagonal)."""
+    of b with path-neutral rows/columns (INF off-diagonal, 0 on-diagonal).
+    The tiles view a padded row-major copy of d, not d itself."""
     if block_size < 1:
         raise ConfigError("block size must be >= 1")
     n0 = d.shape[0]
@@ -188,7 +189,7 @@ def to_tile_major(d: np.ndarray, block_size: int) -> TiledMatrix:
     padded = np.full((n, n), INF, dtype=np.uint32)
     np.fill_diagonal(padded, 0)
     padded[:n0, :n0] = d
-    tiles = padded.reshape(m, block_size, m, block_size).swapaxes(1, 2).copy()
+    tiles = padded.reshape(m, block_size, m, block_size).swapaxes(1, 2)
     return TiledMatrix(n=n, b=block_size, m=m, tiles=tiles)
 
 

@@ -6,6 +6,7 @@ blocked variant is then checked element-exact against the reference.
 """
 
 from itertools import permutations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -385,6 +386,26 @@ def naive_blocked(t):
     return tiles
 
 
+@pytest.fixture
+def spy(monkeypatch):
+    """Record what each fw._relax_live call returns (True: it gathered) and
+    count the (row, step) pairs that fw._minplus relaxes."""
+    log = SimpleNamespace(gathered=[], relaxed=0)
+    relax_live, minplus = fw._relax_live, fw._minplus
+
+    def spied_relax_live(*args):
+        log.gathered.append(relax_live(*args))
+        return log.gathered[-1]
+
+    def spied_minplus(out, left, right):
+        log.relaxed += out.shape[-2] * left.shape[-1]
+        minplus(out, left, right)
+
+    monkeypatch.setattr(fw, "_relax_live", spied_relax_live)
+    monkeypatch.setattr(fw, "_minplus", spied_minplus)
+    return log
+
+
 class TestBlocked:
     def test_single_tile_degenerate(self):
         d = build_distance_matrix(gen_synthetic(12, 0.5, seed=17))
@@ -454,18 +475,23 @@ class TestBlocked:
         assert first_row < first_col
 
     @pytest.mark.parametrize("n", [40, 37])
-    # Both pad to 40 rows at b=4 (m=10); round k relaxes 4k rows above the
-    # pivot rows and 36 - 4k below, in bands of _CHUNK_ELEMS // 40 rows.
-    # Chunk 1 gives 1-row bands; 576 gives 14-row bands, several with a
-    # ragged last band on both sides at k=4 (14 + 2 above, 14 + 6 below) and
-    # k=5 (14 + 6 above, 14 + 2 below); 36 * 40 gives one band a side.
+    # Both pad to 40 rows at b=4 (m=10), and the 36 rows outside the pivot
+    # rows go in bands of _CHUNK_ELEMS // 40 rows: chunk 1 gives 1-row bands,
+    # 576 gives 14-row bands and 36 * 40 one band. At density 0.05 rounds 0-6
+    # gather their live rows, up to 27 of the 36, so at 576 several take a
+    # 14-row band and a ragged one; rounds 7-9 run contiguous, ragged at k=8
+    # (14 + 14 + 4 rows above the pivot). At density 0.5 every round runs
+    # contiguous, ragged on both sides at k=4 (14 + 2 above, 14 + 6 below).
     @pytest.mark.parametrize("chunk", [1, 576, 36 * 40])
-    def test_multi_chunk_wavefront(self, monkeypatch, n, chunk):
+    def test_multi_chunk_wavefront(self, monkeypatch, spy, n, chunk):
         monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
-        d = build_distance_matrix(gen_synthetic(n, 0.05, seed=22))
-        out = fw_blocked(to_tile_major(d, 4))
-        assert out.m == 10
-        assert np.array_equal(from_tile_major(out, n), fw_reference(d))
+        for density, gathered in ((0.05, 7), (0.5, 0)):
+            d = build_distance_matrix(gen_synthetic(n, density, seed=22))
+            spy.gathered.clear()
+            out = fw_blocked(to_tile_major(d, 4))
+            assert out.m == 10
+            assert spy.gathered == [True] * gathered + [False]
+            assert np.array_equal(from_tile_major(out, n), fw_reference(d))
 
     def test_blocked_idempotent_under_re_run(self):
         d = build_distance_matrix(gen_synthetic(20, 0.4, seed=21))
@@ -520,3 +546,99 @@ class TestFold:
             t = to_tile_major(arbitrary_matrix(rng, n, top), b)
             assert fw._cast_in(t.tiles, t.n).dtype == width
             assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
+
+
+def gathered_then_dense(gathered):
+    """Gathered steps or rounds, then one dense check that is never re-tested."""
+    return len(gathered) > 1 and gathered == [True] * (len(gathered) - 1) + [False]
+
+
+class TestLiveRows:
+    """Both kernels skip the rows whose pivot entries all sit at the working
+    cap (2^31 - 1 in uint32, INF in uint64), gathering the live ones while
+    that is cheaper than dense bands, then switch to dense for good."""
+
+    WEIGHTS = {"uint32": (1, 100), "uint64": (60_000_000, 70_000_000)}
+
+    def sparse(self, n, width, seed):
+        d = build_distance_matrix(
+            gen_synthetic(n, 0.08, weight_range=self.WEIGHTS[width], seed=seed))
+        assert fw._cast_in(d, n).dtype == width
+        return d
+
+    @pytest.mark.parametrize("width", WEIGHTS)
+    @pytest.mark.parametrize("chunk", [65_536, 120], ids=["one-band", "3-row-bands"])
+    def test_gathers_then_switches(self, monkeypatch, spy, width, chunk):
+        monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
+        for seed in range(3):
+            d = self.sparse(40, width, 40 + seed)
+            spy.gathered.clear()
+            assert np.array_equal(fw_reference(d), scalar_fw(d))
+            assert gathered_then_dense(spy.gathered)
+            t = to_tile_major(d, 4)
+            want = naive_blocked(t)
+            spy.gathered.clear()
+            assert np.array_equal(fw_blocked(t).tiles, want)
+            assert gathered_then_dense(spy.gathered)
+
+    def test_uint64_entries_past_the_narrow_cap_are_live(self, spy):
+        # Finite pivot entries in [2^31 - 1, INF - 1] make uint64 rows live:
+        # 0 -> 1 -> 2 costs 2^31 - 1 + 5 and 3 -> 1 -> 2 costs 2^31 + 5, so a
+        # uint64 kernel capped at 2^31 - 1 would leave both INF.
+        d = path_graph(8, INF)
+        d[0, 1], d[3, 1], d[1, 2], d[6, 1], d[5, 6] = 2**31 - 1, 2**31, 5, INF - 1, 7
+        assert fw._cast_in(d, 8).dtype == np.uint64
+        want = scalar_fw(d)
+        assert (want[0, 2], want[3, 2]) == (2**31 + 4, 2**31 + 5)
+        naive = {b: naive_blocked(to_tile_major(d, b)) for b in (1, 2, 3)}
+        spy.gathered.clear()
+        assert np.array_equal(fw_reference(d), want)
+        for b in (1, 2, 3):
+            out = fw_blocked(to_tile_major(d, b))
+            assert np.array_equal(out.tiles, naive[b])
+            assert np.array_equal(from_tile_major(out, 8), want)
+        assert all(spy.gathered)
+
+    @pytest.mark.parametrize("width", WEIGHTS)
+    @pytest.mark.parametrize("graph, n", [
+        ("no-edges", 0), ("no-edges", 1), ("no-edges", 2), ("no-edges", 5),
+        ("no-edges", 12), ("isolated", 12), ("isolated", 30),
+    ])
+    def test_sparse_graphs_gather_every_step(self, spy, width, graph, n):
+        d = path_graph(n, INF)
+        # A diagonal entry past 2^31 - 1 takes the run to uint64.
+        np.fill_diagonal(d, 0 if width == "uint32" else 3_000_000_000)
+        if graph == "isolated":
+            # A 3-cycle; every other vertex is isolated.
+            d[[0, 1, 2], [1, 2, 0]] = 100
+        assert fw._cast_in(d, n).dtype == (width if n else np.uint32)
+        assert np.array_equal(fw_reference(d), scalar_fw(d))
+        # A step has no row outside its pivot when n <= 1: one dense check.
+        assert spy.gathered == ([True] * n if n >= 2 else [False] * n)
+        for b in (1, 3):
+            t = to_tile_major(d, b)
+            want = naive_blocked(t)
+            spy.gathered.clear()
+            assert np.array_equal(fw_blocked(t).tiles, want)
+            assert all(spy.gathered) and len(spy.gathered) == (t.m if t.m > 1 else 0)
+
+    def test_relaxed_row_count(self, spy):
+        # 281 gathered steps relax 123,245 (row, step) pairs of the dense
+        # 512^2 = 262,144; the other 231 steps run dense.
+        d = build_distance_matrix(gen_synthetic(512, 0.005, seed=1))
+        fw_reference(d)
+        assert spy.gathered == [True] * 281 + [False]
+        assert spy.relaxed == 123_245 < 512**2
+
+    def test_dense_input_checks_once(self, spy):
+        d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
+        fw_blocked(to_tile_major(d, 64))
+        assert spy.gathered == [False]
+        # Step 0 finds 247 of the 511 rows live, under the half that a
+        # gather may cost at h = 1, so fw_reference gathers it, then checks
+        # once more and runs the 511 other steps dense.
+        spy.gathered.clear()
+        spy.relaxed = 0
+        fw_reference(d)
+        assert spy.gathered == [True, False]
+        assert spy.relaxed == 247 + 511 * 512

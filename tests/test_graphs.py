@@ -180,6 +180,13 @@ class TestTiling:
                 t = to_tile_major(d, b)
                 assert np.array_equal(from_tile_major(t, n), d)
 
+    @pytest.mark.parametrize("n, b", [(8, 4), (5, 4)], ids=["whole", "padded"])
+    def test_tiles_do_not_alias_input(self, n, b):
+        d = build_distance_matrix(gen_synthetic(n, 0.5, seed=8))
+        before = d.copy()
+        to_tile_major(d, b).tiles[...] = 7
+        assert np.array_equal(d, before)
+
     def test_from_tile_major_dimension_error(self):
         t = to_tile_major(np.zeros((4, 4), dtype=np.uint32), 2)
         with pytest.raises(ConfigError):
