@@ -19,13 +19,11 @@ from .hbm import (
     HbmConfig,
     default_config,
     load_config,
-    map_tile_to_bank_group,
     validate_config,
 )
 from .perf import (
     OpCounts,
     bpe_minplus_cycles,
-    broadcast_cost,
     cpe_reduction_cost,
     energy_of,
     tile_row_pass_cost,
@@ -53,10 +51,8 @@ __all__ = [
     "fw_reference",
     "default_config",
     "load_config",
-    "map_tile_to_bank_group",
     "validate_config",
     "bpe_minplus_cycles",
-    "broadcast_cost",
     "cpe_reduction_cost",
     "energy_of",
     "tile_row_pass_cost",

@@ -151,14 +151,6 @@ def validate_config(cfg: HbmConfig, tiles_per_row: int) -> None:
         )
 
 
-def map_tile_to_bank_group(i: int, j: int, m: int, c: int, g: int) -> int:
-    """Interleaved mapping of logical tile (i, j) to a physical bank-group:
-    (i * m + j) mod (c * g)."""
-    if not (0 <= i < m and 0 <= j < m):
-        raise IndexError(f"tile ({i}, {j}) out of range for m={m}")
-    return (i * m + j) % (c * g)
-
-
 # --- JSON config files -----------------------------------------------------
 
 _SECTIONS = ("timing", "energy", "pim")

@@ -125,38 +125,6 @@ def cpe_reduction_cost(fan_in: int, cfg: HbmConfig) -> CostQuote:
     return CostQuote(cycles=cycles, counts=OpCounts(cpe_cycles=cycles))
 
 
-def broadcast_cost(src_bg: int, dst_bgs, b: int, cfg: HbmConfig) -> CostQuote:
-    """Broadcast one b-element 32-bit vector from a bank-group to a set of
-    bank-groups.
-
-    Hop structure: one step reaches all other channels in parallel; within a
-    channel, each additional bank-group beyond the entry point costs one
-    sequential step; delivery inside the source group alone is a single step.
-    Every step moves the payload in ceil(b * 32 / dq_bits) bus beats.
-    tsv_bits counts only bits that cross between channels.
-    """
-    dsts = sorted(set(dst_bgs))
-    if not dsts:
-        raise ValueError("broadcast needs at least one destination")
-    g = cfg.bank_groups_per_channel
-    for bg in dsts + [src_bg]:
-        if not (0 <= bg < cfg.total_bank_groups):
-            raise ValueError(f"bank-group {bg} out of range")
-    src_ch, src_pos = src_bg // g, src_bg % g
-    by_channel: dict[int, set[int]] = {}
-    for bg in dsts:
-        by_channel.setdefault(bg // g, set()).add(bg % g)
-    cross = 1 if any(ch != src_ch for ch in by_channel) else 0
-    # Entry group per channel: the source group in its own channel, the
-    # like-positioned group elsewhere; each other group is one more hop.
-    inter = max(len(pos - {src_pos}) for pos in by_channel.values())
-    steps = max(1, cross + inter)
-    beats = -(-b * cfg.pim.operand_bits // cfg.dq_bits)
-    crossings = sum(1 for ch in by_channel if ch != src_ch)
-    counts = OpCounts(tsv_bits=b * cfg.pim.operand_bits * crossings)
-    return CostQuote(cycles=steps * beats, counts=counts)
-
-
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """Energy per accounting category, integer femtojoules (exact sums)."""

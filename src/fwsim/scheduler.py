@@ -14,8 +14,12 @@ on). Rounds never overlap.
 
 No resource is busy when a round starts and every stage waits for the one
 before it, so every time in a round is an offset from its start and a round's
-length does not depend on when it starts. Each round is a few array
-operations over its m^2 updates in emission order, times as offsets:
+length does not depend on when it starts. Rounds are therefore built in groups
+of consecutive pivots, each group a few array operations over its
+(rounds, m^2 - 1) updates in emission order, times as offsets. Per-resource
+scans run on the composite key round * width + bank-group, width being the
+bank-groups of the channels that hold tiles, so one scan serves every round
+of a group and key // g is the channel:
 
   row/column ends      fill_end + a per-bank-group cumsum of durations
   result broadcasts    the TSV chain x_i = max(x_{i-1}, e_i) + f_i from
@@ -26,8 +30,11 @@ operations over its m^2 updates in emission order, times as offsets:
   channel-PE chain     a channel's p-th reduction, C cycles each, ends at
                        (p + 1) C + max_{q<=p}(e_q - q C)
   vector streams       max(1, [channel differs] + [position differs]) steps
-  fill/result fan-out  perf.broadcast_cost's hops, counted on a (broadcast,
+  fill/result fan-out  one step to cross channels plus one per bank-group
+                       past the entry point, counted on a (round, broadcast,
                        channel, position) mask of destinations
+  round starts         the bulk load plus an exclusive cumsum of round
+                       lengths, each its last broadcast or reduction end
 
 tests/reference_scheduler.py schedules tile by tile; it is the oracle.
 """
@@ -54,6 +61,12 @@ from .perf import (
 
 # simulate_functional refuses matrices larger than this.
 FUNCTIONAL_GUARD = 4096
+
+# Pivot rounds are built in groups of at most this many tile updates or
+# destination bank-groups a round (at least one round): enough to amortize
+# numpy's per-call cost over several rounds, few enough to keep a group's
+# temporaries small.
+_GROUP_UPDATES = 8192
 
 
 class EventKind(Enum):
@@ -112,14 +125,19 @@ def tiles_per_row(n: int, b: int) -> int:
 
 
 def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each element's count of earlier elements with the same key. Keys are
-    bank-groups or channels, below MAX_BANK_GROUPS = 2^16: a radix sort."""
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    idx = np.arange(len(keys))
-    first = np.r_[True, np.diff(keys[order]) != 0]
+    """Each element's count of earlier elements with the same key, in
+    row-major order. Keys are composite, round * stride + bank-group or
+    channel, one round per row. A stable radix sort through a uint16 cast
+    orders them even past 2^16: a round's bank-groups or channels (at most
+    MAX_BANK_GROUPS = 2^16) differ mod 2^16, and keys that share a residue
+    come from different rounds, which the stable sort keeps in row order."""
+    flat = keys.ravel()
+    order = np.argsort(flat.astype(np.uint16), kind="stable")
+    idx = np.arange(len(flat))
+    first = np.r_[True, np.diff(flat[order]) != 0]
     ranks = np.empty_like(idx)
     ranks[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))
-    return ranks
+    return ranks.reshape(keys.shape)
 
 
 def _scan(op: np.ufunc, keys: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -165,10 +183,13 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     if cfg.pim.bulk_load_cycles + m * round_bound > (1 << 63) - 1:
         raise ConfigError(f"n={n} with b={b} can exceed 2^63 - 1 cycles or TSV bits, "
                           "the scheduler's int64 range")
-    bank_group = np.arange(m * m).reshape(m, m) % cfg.total_bank_groups  # map_tile_to_bank_group
+    # Tile (i, j) lives on bank-group (i * m + j) mod the bank-group count.
+    bank_group = np.arange(m * m).reshape(m, m) % cfg.total_bank_groups
     busy = np.zeros(cfg.total_bank_groups, dtype=np.int64)
-    rows = np.arange(2 * m - 1)
     width = -(-min(cfg.total_bank_groups, m * m) // g) * g  # the channels holding tiles
+    rc = 2 * (m - 1)
+    j = np.arange(m - 1)
+    rows = np.arange(2 * m - 1)
     tsv_bits = 0
 
     def streams(src, dst):
@@ -183,69 +204,85 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
         if events is not None:
             events.append(PhaseEvent(EventKind.BROADCAST, -1, None, "tsv", 0, start,
                                      OpCounts(tsv_bits=tsv_bits)))
-    for k in range(m):
-        pivot_bg = int(bank_group[k, k])
-        busy[pivot_bg] += update.cycles
+    if m == 1:  # one round, its pivot tile alone; the groups below need updates
+        busy[0] = update.cycles
         if events is not None:
-            events.append(PhaseEvent(EventKind.PIVOT_FW, k, (k, k), f"bg:{pivot_bg}",
+            events.append(PhaseEvent(EventKind.PIVOT_FW, 0, (0, 0), "bg:0",
                                      start, start + update.cycles, update.counts))
-        if m == 1:
-            start += update.cycles
-            continue
+        start += update.cycles
+    group = max(1, _GROUP_UPDATES // max(m * m, width))
+    for k0 in range(0, m if m > 1 else 0, group):
+        ks = np.arange(k0, min(k0 + group, m))
+        kk = np.arange(len(ks))[:, None]
+        pivot_bg = bank_group[ks, ks]
+        np.add.at(busy, pivot_bg, update.cycles)
 
         # Emission order: pivot row, pivot column, wavefront. A row or column tile
         # streams the pivot's vectors; wavefront tile (i, j), (i, k)'s and (k, j)'s.
-        others = np.delete(np.arange(m), k)
-        row_bg, col_bg = bank_group[k, others], bank_group[others, k]
-        wave_bg = bank_group[np.ix_(others, others)]
-        rc = 2 * (m - 1)
-        bgs = np.concatenate([row_bg, col_bg, wave_bg.ravel()])
-        vec, vec_bits = streams(pivot_bg, bgs[:rc])
-        from_col, col_bits = streams(col_bg[:, None], wave_bg)
-        from_row, row_bits = streams(row_bg, wave_bg)
-        vec = np.r_[vec, (from_col + from_row).ravel()]
-        vec_bits = np.r_[vec_bits, (col_bits + row_bits).ravel()]
+        others = j + (j >= ks[:, None])  # each round's tiles but k
+        row_bg, col_bg = bank_group[ks[:, None], others], bank_group[others, ks[:, None]]
+        wave_bg = bank_group[others[:, :, None], others[:, None, :]]
+        bgs = np.concatenate([row_bg, col_bg, wave_bg.reshape(len(ks), -1)], axis=1)
+        vec, vec_bits = streams(pivot_bg[:, None], bgs[:, :rc])
+        from_col, col_bits = streams(col_bg[:, :, None], wave_bg)
+        from_row, row_bits = streams(row_bg[:, None, :], wave_bg)
+        vec = np.concatenate([vec, (from_col + from_row).reshape(len(ks), -1)], axis=1)
+        vec_bits = np.concatenate([vec_bits, (col_bits + row_bits).reshape(len(ks), -1)],
+                                  axis=1)
         # Each of the b inner-product steps consumes a freshly broadcast
         # vector from each source; with overlap, step t+1's vectors ride
         # under step t's compute.
         cycles = b * (np.maximum(step_cycles, vec) if cfg.pim.broadcast_overlap
                       else step_cycles + vec)
-        np.add.at(busy, bgs, cycles)
+        np.add.at(busy, bgs.ravel(), cycles.ravel())
 
         # Broadcast 0 stages the pivot's first vector at the row/column tiles,
         # broadcast 1 + t row/column tile t's first result vector at its
         # consumers: wavefront column j for row tile j, row i for column tile i.
-        dst = np.zeros((2 * m - 1, width), dtype=bool)
-        dst[0, bgs[:rc]] = True
-        dst[1 + rows[:m - 1], wave_bg] = True
-        dst[m + rows[:m - 1, None], wave_bg] = True
-        src = np.r_[pivot_bg, bgs[:rc]]
-        fan = dst.reshape(2 * m - 1, width // g, g)
-        per_channel = fan.sum(axis=2)
-        hops = (per_channel - fan[rows, :, src % g]).max(axis=1)
+        dst = np.zeros((len(ks), 2 * m - 1, width), dtype=bool)
+        dst[kk, 0, bgs[:, :rc]] = True
+        dst[kk[:, :, None], 1 + j, wave_bg] = True
+        dst[kk[:, :, None], m + j[:, None], wave_bg] = True
+        src = np.concatenate([pivot_bg[:, None], bgs[:, :rc]], axis=1)
+        fan = dst.reshape(len(ks), 2 * m - 1, width // g, g)
+        per_channel = fan.sum(axis=3)
+        hops = (per_channel - fan[kk, rows, :, src % g]).max(axis=2)
         reached = per_channel > 0
-        crossings = reached.sum(axis=1) - reached[rows, src // g]
+        crossings = reached.sum(axis=2) - reached[kk, rows, src // g]
         bcast = np.maximum(1, (crossings > 0) + hops) * beats
         tsv_bits += int(crossings.sum()) * vector_bits + int(vec_bits.sum())
 
         # Row and column tiles start after the fill; the wavefront once the
-        # last of their result vectors is published on the TSV bus.
-        fill_end = update.cycles + int(bcast[0])
-        ends = fill_end + _scan(np.add, bgs[:rc], _ranks(bgs[:rc]), cycles[:rc])
-        sent = np.cumsum(bcast)
-        bcast_ends = sent + np.maximum.accumulate(np.r_[update.cycles, ends] - sent + bcast)
-        released = int(bcast_ends[-1])
-        ends = np.r_[ends, released + _scan(np.add, bgs[rc:], _ranks(bgs[rc:]), cycles[rc:])]
-        ch = bgs // g
+        # last of their result vectors is published on the TSV bus. Scans run
+        # per round and resource on the key round * width + bank-group, whose
+        # channel is key // g.
+        key = kk * width + bgs
+        fill_end = update.cycles + bcast[:, :1]
+        ends = fill_end + _scan(np.add, key[:, :rc], _ranks(key[:, :rc]), cycles[:, :rc])
+        sent = np.cumsum(bcast, axis=1)
+        bcast_ends = sent + np.maximum.accumulate(
+            np.concatenate([np.full_like(fill_end, update.cycles), ends], axis=1)
+            - sent + bcast, axis=1)
+        released = bcast_ends[:, -1:]
+        wave = key[:, rc:]
+        ends = np.concatenate([ends, released + _scan(np.add, wave, _ranks(wave), cycles[:, rc:])],
+                              axis=1)
+        ch = key // g
         p = _ranks(ch)
         cpe_ends = (p + 1) * cpe.cycles + _scan(np.maximum, ch, p, ends - p * cpe.cycles)
+        # The round ends with its last broadcast or channel-PE reduction; no
+        # resource is busy when the next one starts.
+        lengths = np.maximum(released[:, 0], cpe_ends.max(axis=1))
+        starts = start + np.cumsum(lengths) - lengths
+        start += int(lengths.sum())
         if events is not None:
-            _emit(events, k, others.tolist(), g, update, cpe, bgs.tolist(), vec_bits.tolist(),
-                  (start + np.stack([ends - cycles, ends, cpe_ends])).tolist(),
-                  [*(start + np.stack([bcast_ends - bcast, bcast_ends])).tolist(),
-                   (crossings * vector_bits).tolist()])
-        # The round ends with its last broadcast or channel-PE reduction.
-        start += max(released, int(cpe_ends.max()))
+            for r, k in enumerate(ks.tolist()):
+                s = starts[r]
+                _emit(events, k, int(s), int(pivot_bg[r]), others[r].tolist(), g, update, cpe,
+                      bgs[r].tolist(), vec_bits[r].tolist(),
+                      (s + np.stack([ends[r] - cycles[r], ends[r], cpe_ends[r]])).tolist(),
+                      [*(s + np.stack([bcast_ends[r] - bcast[r], bcast_ends[r]])).tolist(),
+                       (crossings[r] * vector_bits).tolist()])
 
     counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
               + OpCounts(tsv_bits=tsv_bits))
@@ -256,10 +293,13 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
                      per_bank_group_busy=busy.tolist())
 
 
-def _emit(events, k, others, g, update, cpe, bgs, vec_bits, spans, broadcasts) -> None:
-    """Append pivot round k's events after its pivot tile: the pivot fill, then
-    per update (bank-group, stream bits, spans: start, end, reduction end) its
+def _emit(events, k, round_start, pivot_bg, others, g, update, cpe, bgs, vec_bits, spans,
+          broadcasts) -> None:
+    """Append pivot round k's events: its pivot tile, the pivot fill, then per
+    update (bank-group, stream bits, spans: start, end, reduction end) its
     tile event, reduction and, for a row or column tile, result broadcast."""
+    events.append(PhaseEvent(EventKind.PIVOT_FW, k, (k, k), f"bg:{pivot_bg}", round_start,
+                             round_start + update.cycles, update.counts))
     targets = ([(k, j) for j in others] + [(i, k) for i in others]
                + [(i, j) for i in others for j in others])
     published = [PhaseEvent(EventKind.BROADCAST, k, target, "tsv", start, end,

@@ -1,5 +1,7 @@
 """Reference scheduler: the blocked-FW round structure as one record per tile
-operation, and a scalar scheduler that walks those records one tile at a time.
+operation, and a scalar scheduler that walks those records one tile at a time,
+pricing every broadcast with broadcast_cost and placing every tile with
+map_tile_to_bank_group.
 
 fwsim.scheduler computes each pivot round with array closed forms; this module
 states the same serialization rules directly (a FIFO per bank-group, a chain
@@ -13,16 +15,56 @@ from dataclasses import dataclass
 from enum import Enum
 
 from fwsim.errors import ConstraintViolation
-from fwsim.hbm import HbmConfig, map_tile_to_bank_group, validate_config
+from fwsim.hbm import HbmConfig, validate_config
 from fwsim.perf import (
+    CostQuote,
     OpCounts,
-    broadcast_cost,
     cpe_reduction_cost,
     energy_of,
     tile_row_pass_cost,
     tile_update_cost,
 )
 from fwsim.scheduler import EventKind, PhaseEvent, SimResult, tiles_per_row
+
+
+def map_tile_to_bank_group(i: int, j: int, m: int, c: int, g: int) -> int:
+    """Interleaved mapping of logical tile (i, j) to a physical bank-group:
+    (i * m + j) mod (c * g)."""
+    if not (0 <= i < m and 0 <= j < m):
+        raise IndexError(f"tile ({i}, {j}) out of range for m={m}")
+    return (i * m + j) % (c * g)
+
+
+def broadcast_cost(src_bg: int, dst_bgs, b: int, cfg: HbmConfig) -> CostQuote:
+    """Broadcast one b-element 32-bit vector from a bank-group to a set of
+    bank-groups.
+
+    Hop structure: one step reaches all other channels in parallel; within a
+    channel, each additional bank-group beyond the entry point costs one
+    sequential step; delivery inside the source group alone is a single step.
+    Every step moves the payload in ceil(b * 32 / dq_bits) bus beats.
+    tsv_bits counts only bits that cross between channels.
+    """
+    dsts = sorted(set(dst_bgs))
+    if not dsts:
+        raise ValueError("broadcast needs at least one destination")
+    g = cfg.bank_groups_per_channel
+    for bg in dsts + [src_bg]:
+        if not (0 <= bg < cfg.total_bank_groups):
+            raise ValueError(f"bank-group {bg} out of range")
+    src_ch, src_pos = src_bg // g, src_bg % g
+    by_channel: dict[int, set[int]] = {}
+    for bg in dsts:
+        by_channel.setdefault(bg // g, set()).add(bg % g)
+    cross = 1 if any(ch != src_ch for ch in by_channel) else 0
+    # Entry group per channel: the source group in its own channel, the
+    # like-positioned group elsewhere; each other group is one more hop.
+    inter = max(len(pos - {src_pos}) for pos in by_channel.values())
+    steps = max(1, cross + inter)
+    beats = -(-b * cfg.pim.operand_bits // cfg.dq_bits)
+    crossings = sum(1 for ch in by_channel if ch != src_ch)
+    counts = OpCounts(tsv_bits=b * cfg.pim.operand_bits * crossings)
+    return CostQuote(cycles=steps * beats, counts=counts)
 
 
 class TilePhase(Enum):

@@ -10,12 +10,12 @@ from fwsim import (
     HbmConfig,
     default_config,
     load_config,
-    map_tile_to_bank_group,
     simulate,
     validate_config,
 )
 from fwsim.errors import ConfigError, ConstraintViolation
 from fwsim.hbm import MAX_BANK_GROUPS, TimingParams, config_from_dict, config_to_dict
+from reference_scheduler import map_tile_to_bank_group
 
 
 def load(m, c, g):

@@ -7,7 +7,6 @@ import pytest
 from fwsim import (
     OpCounts,
     bpe_minplus_cycles,
-    broadcast_cost,
     cpe_reduction_cost,
     default_config,
     energy_of,
@@ -16,6 +15,7 @@ from fwsim import (
     timeline,
 )
 from fwsim.perf import row_pass_count
+from reference_scheduler import broadcast_cost
 
 
 def pivot_cycles(b, cfg):

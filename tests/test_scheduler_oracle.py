@@ -8,10 +8,12 @@ same timeline, event for event.
 
 import dataclasses
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_scheduler as reference
-from fwsim import default_config, simulate, timeline
+from fwsim import default_config, scheduler, simulate, timeline
+from fwsim.hbm import MAX_BANK_GROUPS
 
 
 @st.composite
@@ -57,3 +59,64 @@ def test_array_scheduler_matches_reference(run):
     for e, x in zip(events, expected_events):
         assert repr(e) == repr(x)
 
+
+def assert_matches_reference(n, b, cfg):
+    got = simulate(n, b, cfg, enforce_wavefront=False)
+    expected = reference.simulate(n, b, cfg, enforce_wavefront=False)
+    for field in dataclasses.fields(got):
+        assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name)), field.name
+    events = timeline(n, b, cfg, enforce_wavefront=False)
+    expected_events = reference.timeline(n, b, cfg, enforce_wavefront=False)
+    assert len(events) == len(expected_events)
+    for e, x in zip(events, expected_events):
+        assert repr(e) == repr(x)
+
+
+@pytest.mark.parametrize("updates, sizes", [
+    (1, [1] * 7),         # one round per group
+    (3 * 49, [3, 3, 1]),  # a ragged last group
+], ids=["one-round", "ragged"])
+def test_rounds_batched_across_groups_match_reference(monkeypatch, updates, sizes):
+    """m = 7 rounds split into several groups: each group's round starts
+    continue the previous group's, and its busy and TSV sums add to them."""
+    monkeypatch.setattr(scheduler, "_GROUP_UPDATES", updates)
+    ranked = []
+    ranks = scheduler._ranks
+
+    def spy(keys):
+        ranked.append(len(keys))
+        return ranks(keys)
+
+    monkeypatch.setattr(scheduler, "_ranks", spy)
+    d = default_config()
+    simulate(7 * 5, 5, d, enforce_wavefront=False)
+    assert ranked[::3] == sizes  # three scans per group, each (rounds, updates)
+    for cfg in (d, dataclasses.replace(d, channels=1, bank_groups_per_channel=3),
+                dataclasses.replace(d, pim=dataclasses.replace(d.pim, bulk_load_cycles=5000,
+                                                               broadcast_overlap=False))):
+        assert_matches_reference(7 * 5 - 2, 5, cfg)
+
+
+@pytest.mark.parametrize("channels, groups", [(256, 256), (1, 1 << 16)])
+def test_max_bank_groups_match_reference(monkeypatch, channels, groups):
+    """MAX_BANK_GROUPS bank-groups at m = 3, by default and with all three
+    rounds in one group. One channel of 2^16 bank-groups then puts the
+    composite keys round * width + bank-group past 2^16, where the uint16
+    radix sort of _ranks stays exact only because keys that share a residue
+    belong to different rounds."""
+    d = default_config()
+    cfg = dataclasses.replace(d, channels=channels, bank_groups_per_channel=groups)
+    assert cfg.total_bank_groups == MAX_BANK_GROUPS
+    assert_matches_reference(3 * 4, 4, cfg)
+    monkeypatch.setattr(scheduler, "_GROUP_UPDATES", 1 << 20)
+    assert_matches_reference(3 * 4, 4, cfg)
+
+
+def test_busy_sums_past_2_53_match_reference():
+    """Busy totals near 1.5e17, past float64's exact integers: they are summed
+    in int64, not through a float."""
+    d = default_config()
+    cfg = dataclasses.replace(d, channels=1, bank_groups_per_channel=2,
+                              pim=dataclasses.replace(d.pim, row_pass_setup_cycles=2**50 + 1))
+    assert max(simulate(9, 3, cfg, enforce_wavefront=False).per_bank_group_busy) > 2**53
+    assert_matches_reference(9, 3, cfg)
