@@ -21,9 +21,9 @@ from . import __version__
 from .errors import FwsimError, ConfigError
 from .fw import fw_reference
 from .graphs import build_distance_matrix, gen_synthetic, load_edge_list
-from .hbm import HbmConfig, config_to_dict, load_config, validate_config
+from .hbm import HbmConfig, config_to_dict, load_config
 from .scheduler import (SimResult, check_functional_size, simulate, simulate_functional,
-                        tiles_per_row, utilization_report)
+                        utilization_report)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -173,11 +173,6 @@ def cmd_sweep(args) -> int:
 
     points = [_sweep_point(args.param, v, cfg, args.nodes, args.block_size)
               for v in values]
-    # Validate the whole sweep up front: one bad point rejects everything.
-    for point_cfg, n, b in points:
-        m = tiles_per_row(n, b)
-        if not args.relax_wavefront:
-            validate_config(point_cfg, m)
     results = [simulate(n, b, point_cfg, enforce_wavefront=not args.relax_wavefront)
                for point_cfg, n, b in points]
 

@@ -171,6 +171,16 @@ def test_sweep_over_n_needs_no_nodes(capsys):
     assert len(out.splitlines()) == 3
 
 
+def test_sweep_with_a_late_bad_point_writes_nothing(capsys):
+    # n = 512 is valid at b = 64; n = 4096 stages 128 wavefront tiles on 32
+    # bank-groups, which the default config rejects.
+    code, out, err = invoke(["sweep", "--block-size", "64", "--param", "n",
+                             "--values", "512,4096"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "parallelism constraint violated" in err
+    assert out == ""
+
+
 def test_project(capsys):
     code, out, _ = invoke(["project", "--measured-seconds", "2", "--measured-n",
                            "10", "--target-n", "20"], capsys)

@@ -5,6 +5,7 @@ enumeration for tiny graphs, and scipy's shortest_path for medium ones. The
 blocked variant is then checked element-exact against the reference.
 """
 
+from collections import namedtuple
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -386,24 +387,47 @@ def naive_blocked(t):
     return tiles
 
 
+Step = namedtuple("Step", "n h live rows")
+
+
 @pytest.fixture
 def spy(monkeypatch):
-    """Record what each fw._relax_live call returns (True: it gathered) and
-    count the (row, step) pairs that fw._minplus relaxes."""
-    log = SimpleNamespace(gathered=[], relaxed=0)
-    relax_live, minplus = fw._relax_live, fw._minplus
+    """Record a Step for each fw._relax call: the matrix order n, the pivot
+    width h, the live rows (outside the pivot rows, with a pivot entry below
+    the working cap) before the call, and the rows that fw._minplus relaxed
+    during it. Also count every (row, step) pair that fw._minplus relaxes."""
+    log = SimpleNamespace(steps=[], rows=0, relaxed=0)
+    relax, minplus = fw._relax, fw._minplus
 
-    def spied_relax_live(*args):
-        log.gathered.append(relax_live(*args))
-        return log.gathered[-1]
+    def spied_relax(d, lo, hi, right):
+        cap = fw._NARROW_CAP if d.dtype == np.uint32 else INF
+        outside = np.r_[0:lo, hi:len(d)]
+        live = int((d[outside, lo:hi] < cap).any(axis=1).sum())
+        before = log.rows
+        relax(d, lo, hi, right)
+        log.steps.append(Step(len(d), hi - lo, live, log.rows - before))
 
     def spied_minplus(out, left, right):
+        log.rows += out.shape[-2]
         log.relaxed += out.shape[-2] * left.shape[-1]
         minplus(out, left, right)
 
-    monkeypatch.setattr(fw, "_relax_live", spied_relax_live)
+    monkeypatch.setattr(fw, "_relax", spied_relax)
     monkeypatch.setattr(fw, "_minplus", spied_minplus)
     return log
+
+
+def swept(step):
+    """Whether a _relax call swept contiguous bands rather than gathering its
+    live rows, after checking it did one of the two by the per-step rule:
+    while live * (h + 1) < h * (n - h) it relaxes exactly the live rows;
+    otherwise every row outside the pivot rows, and the pivot row too at
+    h = 1."""
+    if step.live * (step.h + 1) < step.h * (step.n - step.h):
+        assert step.rows == step.live, step
+        return False
+    assert step.rows == (step.n if step.h == 1 else step.n - step.h), step
+    return True
 
 
 class TestBlocked:
@@ -479,18 +503,21 @@ class TestBlocked:
     # rows go in bands of _CHUNK_ELEMS // 40 rows: chunk 1 gives 1-row bands,
     # 576 gives 14-row bands and 36 * 40 one band. At density 0.05 rounds 0-6
     # gather their live rows, up to 27 of the 36, so at 576 several take a
-    # 14-row band and a ragged one; rounds 7-9 run contiguous, ragged at k=8
-    # (14 + 14 + 4 rows above the pivot). At density 0.5 every round runs
-    # contiguous, ragged on both sides at k=4 (14 + 2 above, 14 + 6 below).
+    # 14-row band and a ragged one; rounds 7-9 sweep contiguous bands, ragged
+    # at k=8 (14 + 14 + 4 rows above the pivot), except that at n = 37 round
+    # 8 finds 28 rows live, under the gather's bound, and gathers again. At
+    # density 0.5 every round sweeps, ragged on both sides at k=4 (14 + 2
+    # above, 14 + 6 below).
     @pytest.mark.parametrize("chunk", [1, 576, 36 * 40])
     def test_multi_chunk_wavefront(self, monkeypatch, spy, n, chunk):
         monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
-        for density, gathered in ((0.05, 7), (0.5, 0)):
+        late = {40: [True, True, True], 37: [True, False, True]}[n]
+        for density, sweeps in ((0.05, [False] * 7 + late), (0.5, [True] * 10)):
             d = build_distance_matrix(gen_synthetic(n, density, seed=22))
-            spy.gathered.clear()
+            spy.steps.clear()
             out = fw_blocked(to_tile_major(d, 4))
             assert out.m == 10
-            assert spy.gathered == [True] * gathered + [False]
+            assert [swept(step) for step in spy.steps] == sweeps
             assert np.array_equal(from_tile_major(out, n), fw_reference(d))
 
     def test_blocked_idempotent_under_re_run(self):
@@ -548,15 +575,11 @@ class TestFold:
             assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
 
 
-def gathered_then_dense(gathered):
-    """Gathered steps or rounds, then one dense check that is never re-tested."""
-    return len(gathered) > 1 and gathered == [True] * (len(gathered) - 1) + [False]
-
-
 class TestLiveRows:
     """Both kernels skip the rows whose pivot entries all sit at the working
-    cap (2^31 - 1 in uint32, INF in uint64), gathering the live ones while
-    that is cheaper than dense bands, then switch to dense for good."""
+    cap (2^31 - 1 in uint32, INF in uint64). At every step or round they
+    gather the live rows while that is cheaper than contiguous bands, and
+    sweep the bands otherwise."""
 
     WEIGHTS = {"uint32": (1, 100), "uint64": (60_000_000, 70_000_000)}
 
@@ -572,14 +595,16 @@ class TestLiveRows:
         monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
         for seed in range(3):
             d = self.sparse(40, width, 40 + seed)
-            spy.gathered.clear()
+            spy.steps.clear()
             assert np.array_equal(fw_reference(d), scalar_fw(d))
-            assert gathered_then_dense(spy.gathered)
+            sweeps = [swept(step) for step in spy.steps]
+            assert len(sweeps) == 40 and not sweeps[0] and any(sweeps)
             t = to_tile_major(d, 4)
             want = naive_blocked(t)
-            spy.gathered.clear()
+            spy.steps.clear()
             assert np.array_equal(fw_blocked(t).tiles, want)
-            assert gathered_then_dense(spy.gathered)
+            sweeps = [swept(step) for step in spy.steps]
+            assert len(sweeps) == 10 and not sweeps[0] and any(sweeps)
 
     def test_uint64_entries_past_the_narrow_cap_are_live(self, spy):
         # Finite pivot entries in [2^31 - 1, INF - 1] make uint64 rows live:
@@ -591,13 +616,13 @@ class TestLiveRows:
         want = scalar_fw(d)
         assert (want[0, 2], want[3, 2]) == (2**31 + 4, 2**31 + 5)
         naive = {b: naive_blocked(to_tile_major(d, b)) for b in (1, 2, 3)}
-        spy.gathered.clear()
+        spy.steps.clear()
         assert np.array_equal(fw_reference(d), want)
         for b in (1, 2, 3):
             out = fw_blocked(to_tile_major(d, b))
             assert np.array_equal(out.tiles, naive[b])
             assert np.array_equal(from_tile_major(out, 8), want)
-        assert all(spy.gathered)
+        assert not any(swept(step) for step in spy.steps)
 
     @pytest.mark.parametrize("width", WEIGHTS)
     @pytest.mark.parametrize("graph, n", [
@@ -613,32 +638,59 @@ class TestLiveRows:
             d[[0, 1, 2], [1, 2, 0]] = 100
         assert fw._cast_in(d, n).dtype == (width if n else np.uint32)
         assert np.array_equal(fw_reference(d), scalar_fw(d))
-        # A step has no row outside its pivot when n <= 1: one dense check.
-        assert spy.gathered == ([True] * n if n >= 2 else [False] * n)
+        # A step has no row outside its pivot when n = 1: it sweeps row 0.
+        assert [swept(step) for step in spy.steps] == [n < 2] * n
         for b in (1, 3):
             t = to_tile_major(d, b)
             want = naive_blocked(t)
-            spy.gathered.clear()
+            spy.steps.clear()
             assert np.array_equal(fw_blocked(t).tiles, want)
-            assert all(spy.gathered) and len(spy.gathered) == (t.m if t.m > 1 else 0)
+            assert len(spy.steps) == (t.m if t.m > 1 else 0)
+            assert not any(swept(step) for step in spy.steps)
 
     def test_relaxed_row_count(self, spy):
-        # 281 gathered steps relax 123,245 (row, step) pairs of the dense
-        # 512^2 = 262,144; the other 231 steps run dense.
+        # Steps 0-280 gather; from step 281 on, 168 steps sweep all 512 rows
+        # and 63 gather again, for 91,199 relaxed (row, step) pairs of the
+        # dense 512^2 = 262,144.
         d = build_distance_matrix(gen_synthetic(512, 0.005, seed=1))
         fw_reference(d)
-        assert spy.gathered == [True] * 281 + [False]
-        assert spy.relaxed == 123_245 < 512**2
+        sweeps = [swept(step) for step in spy.steps]
+        assert sweeps.index(True) == 281 and sum(sweeps) == 168
+        assert spy.relaxed == sum(step.rows for step in spy.steps) == 91_199
 
-    def test_dense_input_checks_once(self, spy):
+    def test_dense_input_sweeps_every_round(self, spy):
         d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
         fw_blocked(to_tile_major(d, 64))
-        assert spy.gathered == [False]
+        assert [swept(step) for step in spy.steps] == [True] * 8
         # Step 0 finds 247 of the 511 rows live, under the half that a
-        # gather may cost at h = 1, so fw_reference gathers it, then checks
-        # once more and runs the 511 other steps dense.
-        spy.gathered.clear()
+        # gather may cost at h = 1, so fw_reference gathers them; each of
+        # the 511 other steps sweeps all 512 rows.
+        spy.steps.clear()
         spy.relaxed = 0
         fw_reference(d)
-        assert spy.gathered == [True, False]
+        assert [swept(step) for step in spy.steps] == [False] + [True] * 511
+        assert spy.steps[0].live == 247
         assert spy.relaxed == 247 + 511 * 512
+
+    @pytest.mark.parametrize("width", WEIGHTS)
+    def test_steps_into_vertices_without_in_edges_relax_nothing(self, spy, width):
+        # Every vertex has edges to all of the first half; no vertex of the
+        # second half has an in-edge. Step 0 sweeps, and from step n / 2 on
+        # no row is live: a one-way switch to dense would sweep those too.
+        n = 40
+        rng = np.random.default_rng(n)
+        d = rng.integers(*self.WEIGHTS[width], size=(n, n), dtype=np.uint64)
+        d = d.astype(np.uint32)
+        d[:, n // 2:] = INF
+        np.fill_diagonal(d, 0)
+        assert fw._cast_in(d, n).dtype == width
+        assert np.array_equal(fw_reference(d), scalar_fw(d))
+        assert swept(spy.steps[0])
+        assert [step.rows for step in spy.steps[n // 2:]] == [0] * (n // 2)
+        for b in (1, 4):
+            t = to_tile_major(d, b)
+            want = naive_blocked(t)
+            spy.steps.clear()
+            assert np.array_equal(fw_blocked(t).tiles, want)
+            assert swept(spy.steps[0])
+            assert [step.rows for step in spy.steps[t.m // 2:]] == [0] * (t.m // 2)
