@@ -1,17 +1,15 @@
 """Bit-exact Floyd-Warshall: the in-place min-plus kernel that every path
 runs on, the O(N^3) reference and the blocked variant.
 
-All arithmetic is on uint32 distances with saturating addition: INF + x = INF,
-and any finite sum that would overflow 32 bits saturates to INF. The kernel
-never clamps: it works from cast-in to cast-out below a cap, so no sum of two
-wraps, and capped (min, +) returns min(distance, cap). The cap is 2^31 - 1 in
-uint32, INF mapped to it, when max(n - 1, 1) times the largest finite entry is
-below it, so no finite distance can reach it; otherwise INF in uint64.
-Both kernels relax their row-major working copy through one row sweep,
-_relax, in bands of whole rows. A row whose pivot-column entries all sit at
-the cap cannot change: its sums are >= the cap >= its entries. At every step
-or round _relax finds the live rows and gathers them while they are few, as
-in a sparse graph's early steps; otherwise it sweeps contiguous bands.
+Distances are uint32, and addition saturates at INF. The kernels never clamp:
+they work below a cap, INF mapped to it, so no sum of two wraps and capped
+(min, +) gives min(distance, cap). _closure picks the narrowest width of _CAPS
+whose cap exceeds w, the largest finite entry, and whose result is exact:
+proven when max(n - 1, 1) * w is below the cap, else tried while
+w * n.bit_length() is and kept if the largest result below the cap, plus w, is
+below it too. A finite distance at the cap fails that check: a prefix of its
+shortest path is exact in [cap - w, cap). Both kernels relax their row-major
+working copy through one row sweep, _relax.
 """
 
 from __future__ import annotations
@@ -20,31 +18,39 @@ import numpy as np
 
 from .graphs import INF, TiledMatrix
 
-# Elements per band of rows relaxed at once by _relax, a view or a gathered
-# copy (a band is at least one row of the matrix): band plus kernel scratch
-# take 1 MiB in uint64 (512 KiB in uint32), one core's L2 on the AMD EPYC it
-# was sized on.
-_CHUNK_ELEMS = 65_536
-_NARROW_CAP = 2**31 - 1
+# Bytes per band of rows relaxed at once by _relax (at least one row): band
+# plus kernel scratch take 512 KiB, one core's L2 on the AMD EPYC.
+_CHUNK_BYTES = 262_144
+# Working widths, narrowest first, with their caps: a sum of two fits.
+_CAPS = {np.uint16: 2**15 - 1, np.uint32: 2**31 - 1, np.uint64: INF}
 
 
-def _cast_in(d: np.ndarray, n: int) -> np.ndarray:
-    """C-ordered working copy of d for an n x n run: uint32 with INF mapped to
-    _NARROW_CAP when no finite distance can reach the cap, else uint64."""
+def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
+    """uint32 n x n result of loop(work), which closes a C-ordered n x n
+    working copy of d (n^2 entries) in place, at the narrowest exact width."""
     w = int(np.max(d, where=d != INF, initial=0))
-    if max(n - 1, 1) * w < _NARROW_CAP:
-        return np.minimum(d, _NARROW_CAP, dtype=np.uint32, casting="unsafe", order="C")
-    return d.astype(np.uint64, order="C")
+    for dtype, cap in _CAPS.items():
+        proven = max(n - 1, 1) * w < cap
+        if proven or w * n.bit_length() < cap or cap == INF:
+            # A uint16 working copy is the back half of the uint32 result's
+            # memory. Clamped in d's width, entries narrow on the write.
+            out = np.empty(n * n, np.promote_types(dtype, np.uint32))
+            work = out.view(dtype)[-n * n:].reshape(n, n)
+            np.minimum(d, cap, out=work.reshape(d.shape), casting="unsafe")
+            loop(work)
+            if proven or cap == INF or int(np.max(work, where=work < cap, initial=0)) + w < cap:
+                break
+            del out, work  # before the next width's buffer
+    if dtype is np.uint16:  # entries below n^2 // 2 lie clear of the uint16 half
+        half = n * n // 2
+        out[:half] = work.reshape(-1)[:half]
+        out[half:] = work.reshape(-1)[half:]  # numpy buffers the overlap
+    out = out.astype(np.uint32, copy=False).reshape(n, n)
+    out[out == cap] = INF
+    return out
 
 
-def _cast_out(work: np.ndarray) -> np.ndarray:
-    """The uint32 distances held by a working copy from _cast_in."""
-    if work.dtype == np.uint32:
-        work[work >= _NARROW_CAP] = INF
-    return work.astype(np.uint32, copy=False)
-
-
-def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray, tmp=None) -> None:
     """out = min(out, left (x) right) in place, over matrices or stacks of
     them: out[..., r, c], left[..., r, t], right[..., t, c].
 
@@ -52,14 +58,13 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     full before out is written, so left and right may alias out; an aliased
     operand then holds at step t what steps < t wrote, which makes
     _minplus(d, d, d) Floyd-Warshall (fw_blocked's pivot closure). All three
-    must share one dtype, uint32 holding values <= 2^31 - 1 or uint64 holding
-    values <= INF, so that no sum wraps.
+    must share one dtype of _CAPS, holding values <= its cap, so that no
+    sum wraps. tmp, the sums' scratch of out's shape and dtype, is optional.
     """
-    if not (out.dtype == left.dtype == right.dtype
-            and out.dtype in (np.uint32, np.uint64)):
-        raise TypeError("_minplus needs uint32 or uint64 operands of one "
+    if not (out.dtype == left.dtype == right.dtype and out.dtype.type in _CAPS):
+        raise TypeError("_minplus needs uint16, uint32 or uint64 operands of one "
                         f"dtype, got {out.dtype}, {left.dtype}, {right.dtype}")
-    tmp = np.empty(out.shape, dtype=out.dtype)
+    tmp = np.empty(out.shape, dtype=out.dtype) if tmp is None else tmp
     for t in range(left.shape[-1]):
         np.add(left[..., :, t, None], right[..., t, None, :], out=tmp)
         np.minimum(out, tmp, out=out)
@@ -67,29 +72,30 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
 def _relax(d: np.ndarray, lo: int, hi: int, right: np.ndarray) -> None:
     """d[i] = min(d[i], d[i, lo:hi] (x) right) for each row i outside lo:hi,
-    in bands of _CHUNK_ELEMS // n rows (at least one). Only live rows can
-    change: those with a pivot entry d[i, lo:hi] below the working cap. While
-    gathering them takes fewer passes than contiguous bands,
-    live * (h + 1) < h * (n - h) with h = hi - lo, the live rows are
-    gathered; otherwise contiguous bands sweep every row, the pivot row too
-    at h = 1. The pivot rows are a fixed point of their own step, so either
-    is exact."""
+    in bands of _CHUNK_BYTES (at least a row) that share one scratch. A dead
+    row, its pivot entries d[i, lo:hi] all at the cap, cannot change: its sums
+    are >= the cap >= its entries. While gathering the live rows takes fewer
+    passes than bands, live * (h + 1) < h * (n - h) with h = hi - lo, they are
+    gathered; otherwise bands sweep every row, the pivot row too at h = 1. The
+    pivot rows are a fixed point of their own step, so either is exact."""
     n, h = d.shape[0], hi - lo
-    band = max(1, _CHUNK_ELEMS // n)
-    mask = (d[:, lo:hi] < (_NARROW_CAP if d.dtype == np.uint32 else INF)).any(axis=1)
+    band = max(1, _CHUNK_BYTES // (n * d.itemsize))
+    mask = (d[:, lo:hi] < _CAPS[d.dtype.type]).any(axis=1)
     mask[lo:hi] = False
-    if np.count_nonzero(mask) * (h + 1) < h * (n - h):
-        live = np.flatnonzero(mask)
+    live = np.flatnonzero(mask)
+    if len(live) * (h + 1) < h * (n - h):
+        tmp = np.empty((min(band, len(live)), n), d.dtype)
         for r in range(0, len(live), band):
             rows = live[r:r + band]
             block = d[rows]
-            _minplus(block, block[:, lo:hi].copy(), right)
+            _minplus(block, block[:, lo:hi].copy(), right, tmp[:len(rows)])
             d[rows] = block
         return
+    tmp = np.empty((min(band, n), n), d.dtype)
     for start, stop in ((0, n),) if h == 1 else ((0, lo), (hi, n)):
         for r in range(start, stop, band):
             block = d[r:min(r + band, stop)]
-            _minplus(block, block[:, lo:hi].copy(), right)
+            _minplus(block, block[:, lo:hi].copy(), right, tmp[:len(block)])
 
 
 def fw_reference(d: np.ndarray) -> np.ndarray:
@@ -97,17 +103,18 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
     (inner two loops vectorized; identical results for unsigned weights),
     one _relax per step k.
 
-    Holds a working copy of d, 4 * n^2 bytes in uint32 and 8 * n^2 in uint64
-    (64 or 128 MiB at the functional guard, n = 4096); a band and its scratch
-    take at most _CHUNK_ELEMS elements each.
+    Holds one buffer of 4 * n^2 bytes, 8 * n^2 in uint64 (64 or 128 MiB at the
+    functional guard, n = 4096), for the working copy (2 * n^2 bytes of it in
+    uint16) and the result; a band and its scratch take _CHUNK_BYTES each.
     """
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("distance matrix must be square")
-    out = _cast_in(d, n)
-    for k in range(n):
-        _relax(out, k, k + 1, out[k:k + 1])
-    return _cast_out(out)
+
+    def steps(out: np.ndarray) -> None:
+        for k in range(n):
+            _relax(out, k, k + 1, out[k:k + 1])
+    return _closure(d, n, steps)
 
 
 def fw_blocked(t: TiledMatrix) -> TiledMatrix:
@@ -125,14 +132,15 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     tiles that view the row-major result, equal to fw_reference's.
     """
     n, b, m = t.n, t.b, t.m
-    d = _cast_in(t.tiles.swapaxes(1, 2), n).reshape(n, n)
-    for lo in range(0, n, b):
-        hi = lo + b
-        pivot = d[lo:hi, lo:hi]
-        _minplus(pivot, pivot, pivot)
-        if m == 1:
-            continue
-        row = d[lo:hi]
-        _minplus(row, pivot.copy(), row.copy())
-        _relax(d, lo, hi, row)
-    return TiledMatrix(n, b, m, _cast_out(d).reshape(m, b, m, b).swapaxes(1, 2))
+
+    def rounds(d: np.ndarray) -> None:
+        for lo in range(0, n, b):
+            hi = lo + b
+            pivot = d[lo:hi, lo:hi]
+            _minplus(pivot, pivot, pivot)
+            if m > 1:
+                row = d[lo:hi]
+                _minplus(row, pivot.copy(), row.copy())
+                _relax(d, lo, hi, row)
+    d = _closure(t.tiles.swapaxes(1, 2), n, rounds)
+    return TiledMatrix(n, b, m, d.reshape(m, b, m, b).swapaxes(1, 2))

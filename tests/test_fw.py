@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from scipy.sparse.csgraph import shortest_path
 
 from fwsim import (
@@ -123,6 +123,12 @@ NARROW_DISTANCES = st.one_of(
     st.sampled_from([0, 1, 2, CAP // 2, CAP // 2 + 1, CAP - 2, CAP - 1, CAP]),
     st.integers(0, CAP),
 )
+# And at and near the uint16 working width's cap, 2^15 - 1.
+CAP16 = 2**15 - 1
+UINT16_DISTANCES = st.one_of(
+    st.sampled_from([0, 1, 2, CAP16 // 2, CAP16 // 2 + 1, CAP16 - 2, CAP16 - 1, CAP16]),
+    st.integers(0, CAP16),
+)
 
 
 def scalar_minplus(out, left, right):
@@ -140,10 +146,11 @@ def scalar_minplus(out, left, right):
 
 @st.composite
 def stacks(draw, aliased, dtype=np.uint64):
-    """(out, left, right) stacks of dtype, uint64 drawn up to INF or uint32 up
-    to CAP: one square matrix used three times, or three stacks of compatible
-    shapes."""
-    distances = DISTANCES if dtype == np.uint64 else NARROW_DISTANCES
+    """(out, left, right) stacks of dtype, uint64 drawn up to INF, uint32 up
+    to CAP or uint16 up to CAP16: one square matrix used three times, or three
+    stacks of compatible shapes."""
+    distances = {np.uint64: DISTANCES, np.uint32: NARROW_DISTANCES,
+                 np.uint16: UINT16_DISTANCES}[dtype]
     s, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     t, c = (r, r) if aliased else (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
 
@@ -158,7 +165,7 @@ def stacks(draw, aliased, dtype=np.uint64):
 
 class TestMinPlusKernel:
     """_minplus against the scalar saturating oracle: uint64 operands near and
-    at INF, uint32 operands near and at CAP."""
+    at INF, uint32 operands near and at CAP, uint16 ones near and at CAP16."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(stacks(aliased=False))
@@ -192,6 +199,22 @@ class TestMinPlusKernel:
         _minplus(out, out, out)
         assert np.array_equal(out, expected)
 
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(stacks(aliased=False, dtype=np.uint16))
+    def test_unaliased_uint16(self, case):
+        out, left, right = case
+        expected = scalar_minplus(out, left, right)
+        _minplus(out, left, right)
+        assert np.array_equal(out, expected)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(stacks(aliased=True, dtype=np.uint16))
+    def test_aliased_uint16(self, case):
+        out, _, _ = case
+        expected = scalar_minplus(out, out, out)
+        _minplus(out, out, out)
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("narrow", range(3))
     def test_rejects_a_uint32_operand(self, narrow):
         # Mixed widths: the scratch takes out's dtype, so uint64 operands
@@ -201,7 +224,8 @@ class TestMinPlusKernel:
         with pytest.raises(TypeError):
             _minplus(*operands)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.uint16, np.float64])
+    # Only the widths in fw._CAPS are working widths.
+    @pytest.mark.parametrize("dtype", [np.int64, np.int16, np.int32, np.float64])
     def test_rejects_other_dtypes(self, dtype):
         operands = [np.zeros((1, 2, 2), dtype=dtype) for _ in range(3)]
         with pytest.raises(TypeError):
@@ -278,44 +302,87 @@ def path_graph(n, w):
     return d
 
 
+@pytest.fixture
+def widths(monkeypatch):
+    """For each fw._closure call, in order, the list of working dtypes its
+    passes ran in: the last is the width whose result it accepted."""
+    calls = []
+    closure = fw._closure
+
+    def spied_closure(d, n, loop):
+        tried = []
+        calls.append(tried)
+
+        def logged(work):
+            tried.append(work.dtype.type)
+            loop(work)
+
+        return closure(d, n, logged)
+
+    monkeypatch.setattr(fw, "_closure", spied_closure)
+    return calls
+
+
+def chain(weights):
+    """The path graph 0 -> 1 -> ... -> len(weights), edge i of weights[i]."""
+    d = path_graph(len(weights) + 1, INF)
+    d[np.arange(len(weights)), np.arange(1, len(weights) + 1)] = weights
+    return d
+
+
 class TestWidth:
-    """Each kernel works in uint32 exactly when max(n - 1, 1) times the largest
-    finite entry is below 2^31 - 1, and returns the same distances either way."""
+    """Each kernel works in uint16, uint32 or uint64: a width whose cap is
+    above the largest finite entry w, proven exact when max(n - 1, 1) * w is
+    below the cap, else tried while w * n.bit_length() is and kept if the
+    largest result below the cap, plus w, is below it too. Either way the
+    distances are the same."""
 
     CASES = {
         # A plain (n - 1) bound would take this narrow and wrap 3e9.
-        "one-vertex-3e9": (np.array([[3_000_000_000]], dtype=np.uint32), np.uint64),
+        "one-vertex-3e9": (np.array([[3_000_000_000]], dtype=np.uint32), [np.uint64]),
         # (n - 1) * w = 6 * 357_913_941 = 2^31 - 2, the chain 0 -> 6.
-        "path-cap-minus-1": (path_graph(7, (2**31 - 2) // 6), np.uint32),
+        "path-cap-minus-1": (path_graph(7, (2**31 - 2) // 6), [np.uint32]),
         # (n - 1) * w = 2^31 - 1, which is prime: n = 2.
-        "path-at-cap": (path_graph(2, 2**31 - 1), np.uint64),
-        "no-edges": (path_graph(5, INF), np.uint32),
-        "empty": (np.zeros((0, 0), dtype=np.uint32), np.uint32),
+        "path-at-cap": (path_graph(2, 2**31 - 1), [np.uint64]),
+        "no-edges": (path_graph(5, INF), [np.uint16]),
+        "empty": (np.zeros((0, 0), dtype=np.uint32), [np.uint16]),
+        # w = 2100 over 17 vertices: 16 * w >= 2^15 - 1 > 5 * w, so uint16
+        # is tried. The longest distance is 2^15 - 1 - w - 1, which passes
+        # the check, and one more, 2^15 - 1 - w, fails it.
+        "check-passes": (chain([2100] * 14 + [633, 633]), [np.uint16]),
+        "check-fails": (chain([2100] * 14 + [633, 634]), [np.uint16, np.uint32]),
+        # One edge of w further, 2^15 - 1 itself: kept in uint16 it reads INF.
+        "check-at-cap": (chain([2100] * 14 + [633, 634, 2100]), [np.uint16, np.uint32]),
+        # Clamped after narrowing, 70,000 would wrap to 4,464.
+        "edge-70000": (chain([70_000, 5]), [np.uint32]),
     }
 
     @pytest.mark.parametrize("name", CASES)
-    def test_reference(self, name):
-        d, width = self.CASES[name]
+    def test_reference(self, name, widths):
+        d, tried = self.CASES[name]
         n = len(d)
-        assert fw._cast_in(d, n).dtype == width
         got = fw_reference(d)
+        assert widths == [tried]
         assert got.dtype == np.uint32
         assert np.array_equal(got, scalar_fw(d))
         if name.startswith("path"):
             assert np.array_equal(got, enumerate_apsp(d))
             assert int(got[0, n - 1]) == (n - 1) * int(d[0, 1])
+        if name.startswith(("check", "edge")):
+            assert int(got[0, n - 1]) == int(d[np.arange(n - 1), np.arange(1, n)].sum())
 
     @pytest.mark.parametrize("name", CASES)
     @pytest.mark.parametrize("whole", [False, True], ids=["b=1", "b=n"])
-    def test_blocked(self, name, whole):
-        d, width = self.CASES[name]
+    def test_blocked(self, name, whole, widths):
+        d, tried = self.CASES[name]
         n = len(d)
         t = to_tile_major(d, max(n, 1) if whole else 1)
         assert t.n == max(n, 1)
-        assert fw._cast_in(t.tiles, t.n).dtype == width
         out = fw_blocked(t)
+        assert widths == [tried]
         assert out.tiles.dtype == np.uint32
         assert np.array_equal(from_tile_major(out, n), scalar_fw(d))
+        assert np.array_equal(out.tiles, naive_blocked(t))
 
 
 class TestTileKernels:
@@ -400,17 +467,17 @@ def spy(monkeypatch):
     relax, minplus = fw._relax, fw._minplus
 
     def spied_relax(d, lo, hi, right):
-        cap = fw._NARROW_CAP if d.dtype == np.uint32 else INF
+        cap = fw._CAPS[d.dtype.type]
         outside = np.r_[0:lo, hi:len(d)]
         live = int((d[outside, lo:hi] < cap).any(axis=1).sum())
         before = log.rows
         relax(d, lo, hi, right)
         log.steps.append(Step(len(d), hi - lo, live, log.rows - before))
 
-    def spied_minplus(out, left, right):
+    def spied_minplus(out, left, right, tmp=None):
         log.rows += out.shape[-2]
         log.relaxed += out.shape[-2] * left.shape[-1]
-        minplus(out, left, right)
+        minplus(out, left, right, tmp)
 
     monkeypatch.setattr(fw, "_relax", spied_relax)
     monkeypatch.setattr(fw, "_minplus", spied_minplus)
@@ -499,18 +566,18 @@ class TestBlocked:
         assert first_row < first_col
 
     @pytest.mark.parametrize("n", [40, 37])
-    # Both pad to 40 rows at b=4 (m=10), and the 36 rows outside the pivot
-    # rows go in bands of _CHUNK_ELEMS // 40 rows: chunk 1 gives 1-row bands,
-    # 576 gives 14-row bands and 36 * 40 one band. At density 0.05 rounds 0-6
-    # gather their live rows, up to 27 of the 36, so at 576 several take a
-    # 14-row band and a ragged one; rounds 7-9 sweep contiguous bands, ragged
-    # at k=8 (14 + 14 + 4 rows above the pivot), except that at n = 37 round
-    # 8 finds 28 rows live, under the gather's bound, and gathers again. At
-    # density 0.5 every round sweeps, ragged on both sides at k=4 (14 + 2
-    # above, 14 + 6 below).
+    # Both pad to 40 rows at b=4 (m=10) and run in uint16, and the 36 rows
+    # outside the pivot rows go in bands of chunk // 40 rows, chunk counted in
+    # uint16 entries: 1 gives 1-row bands, 576 gives 14-row bands and 36 * 40
+    # one band. At density 0.05 rounds 0-6 gather their live rows, up to 27 of
+    # the 36, so at 576 several take a 14-row band and a ragged one; rounds 7-9
+    # sweep contiguous bands, ragged at k=8 (14 + 14 + 4 rows above the pivot),
+    # except that at n = 37 round 8 finds 28 rows live, under the gather's
+    # bound, and gathers again. At density 0.5 every round sweeps, ragged on
+    # both sides at k=4 (14 + 2 above, 14 + 6 below).
     @pytest.mark.parametrize("chunk", [1, 576, 36 * 40])
     def test_multi_chunk_wavefront(self, monkeypatch, spy, n, chunk):
-        monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(fw, "_CHUNK_BYTES", 2 * chunk)
         late = {40: [True, True, True], 37: [True, False, True]}[n]
         for density, sweeps in ((0.05, [False] * 7 + late), (0.5, [True] * 10)):
             d = build_distance_matrix(gen_synthetic(n, density, seed=22))
@@ -526,15 +593,17 @@ class TestBlocked:
         t2 = fw_blocked(t1)
         assert t1 == t2
 
-    @pytest.mark.parametrize("weights", [(1, 100), (2_000_000_000, 4_000_000_000)],
-                             ids=["uint32", "uint64"])
-    def test_input_not_mutated(self, weights):
+    @pytest.mark.parametrize("width, weights", [
+        (np.uint16, (1, 100)),
+        (np.uint32, (100_000, 200_000)),
+        (np.uint64, (2_000_000_000, 4_000_000_000)),
+    ], ids=["uint16", "uint32", "uint64"])
+    def test_input_not_mutated(self, widths, width, weights):
         d = build_distance_matrix(gen_synthetic(24, 0.3, weight_range=weights, seed=23))
         t = to_tile_major(d, 5)
         before = t.tiles.tobytes()
-        width = fw._cast_in(t.tiles, t.n).dtype
         fw_blocked(t)
-        assert width == (np.uint32 if weights[0] == 1 else np.uint64)
+        assert widths == [[width]]
         assert t.tiles.tobytes() == before
 
 
@@ -560,43 +629,49 @@ class TestFold:
         (7, 1), (7, 2), (7, 3), (7, 6), (7, 7),
         (10, 1), (10, 2), (10, 3), (10, 9), (10, 10),
     ])
-    # The working width is uint32 while the largest finite entry is at most
-    # limit = (2^31 - 2) // (padded n - 1), and uint64 from limit + 1 on.
+    # uint32 is proven exact while the largest finite entry is at most
+    # limit = (2^31 - 2) // (padded n - 1). From limit + 1 on it is tried, as
+    # limit * padded.bit_length() < 2^31 - 1, and every draw here passes the
+    # check: its longest distance plus w stays below 2^31 - 1. INF - 1 goes
+    # straight to uint64.
     @pytest.mark.parametrize("largest", ["limit", "limit+1", "INF-1"])
-    def test_matches_naive_blocked(self, n, b, largest):
+    def test_matches_naive_blocked(self, n, b, largest, widths):
         padded = -(-n // b) * b
         limit = (2**31 - 2) // max(padded - 1, 1)
         top = {"limit": limit + 1, "limit+1": limit + 2, "INF-1": INF}[largest]
-        width = np.uint32 if largest == "limit" else np.uint64
         rng = np.random.default_rng([n, b, top])
         for _ in range(4):
             t = to_tile_major(arbitrary_matrix(rng, n, top), b)
-            assert fw._cast_in(t.tiles, t.n).dtype == width
+            widths.clear()
             assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
+            # widths[0] is fw_blocked's; naive_blocked's pivot tiles follow.
+            assert widths[0] == [np.uint64 if largest == "INF-1" else np.uint32]
 
 
 class TestLiveRows:
     """Both kernels skip the rows whose pivot entries all sit at the working
-    cap (2^31 - 1 in uint32, INF in uint64). At every step or round they
-    gather the live rows while that is cheaper than contiguous bands, and
-    sweep the bands otherwise."""
+    cap (2^15 - 1 in uint16, 2^31 - 1 in uint32, INF in uint64). At every step
+    or round they gather the live rows while that is cheaper than contiguous
+    bands, and sweep the bands otherwise."""
 
-    WEIGHTS = {"uint32": (1, 100), "uint64": (60_000_000, 70_000_000)}
+    # Edge weights that run a 40-vertex graph at each width.
+    WEIGHTS = {"uint16": (1, 100), "uint32": (40_000, 50_000),
+               "uint64": (400_000_000, 500_000_000)}
 
     def sparse(self, n, width, seed):
-        d = build_distance_matrix(
+        return build_distance_matrix(
             gen_synthetic(n, 0.08, weight_range=self.WEIGHTS[width], seed=seed))
-        assert fw._cast_in(d, n).dtype == width
-        return d
 
     @pytest.mark.parametrize("width", WEIGHTS)
     @pytest.mark.parametrize("chunk", [65_536, 120], ids=["one-band", "3-row-bands"])
-    def test_gathers_then_switches(self, monkeypatch, spy, width, chunk):
-        monkeypatch.setattr(fw, "_CHUNK_ELEMS", chunk)
+    def test_gathers_then_switches(self, monkeypatch, spy, widths, width, chunk):
+        # chunk counts entries of the working width.
+        monkeypatch.setattr(fw, "_CHUNK_BYTES", chunk * np.dtype(width).itemsize)
         for seed in range(3):
             d = self.sparse(40, width, 40 + seed)
             spy.steps.clear()
             assert np.array_equal(fw_reference(d), scalar_fw(d))
+            assert widths[-1] == [getattr(np, width)]
             sweeps = [swept(step) for step in spy.steps]
             assert len(sweeps) == 40 and not sweeps[0] and any(sweeps)
             t = to_tile_major(d, 4)
@@ -606,18 +681,18 @@ class TestLiveRows:
             sweeps = [swept(step) for step in spy.steps]
             assert len(sweeps) == 10 and not sweeps[0] and any(sweeps)
 
-    def test_uint64_entries_past_the_narrow_cap_are_live(self, spy):
+    def test_uint64_entries_past_the_narrow_cap_are_live(self, spy, widths):
         # Finite pivot entries in [2^31 - 1, INF - 1] make uint64 rows live:
         # 0 -> 1 -> 2 costs 2^31 - 1 + 5 and 3 -> 1 -> 2 costs 2^31 + 5, so a
         # uint64 kernel capped at 2^31 - 1 would leave both INF.
         d = path_graph(8, INF)
         d[0, 1], d[3, 1], d[1, 2], d[6, 1], d[5, 6] = 2**31 - 1, 2**31, 5, INF - 1, 7
-        assert fw._cast_in(d, 8).dtype == np.uint64
         want = scalar_fw(d)
         assert (want[0, 2], want[3, 2]) == (2**31 + 4, 2**31 + 5)
         naive = {b: naive_blocked(to_tile_major(d, b)) for b in (1, 2, 3)}
         spy.steps.clear()
         assert np.array_equal(fw_reference(d), want)
+        assert widths[-1] == [np.uint64]
         for b in (1, 2, 3):
             out = fw_blocked(to_tile_major(d, b))
             assert np.array_equal(out.tiles, naive[b])
@@ -629,15 +704,15 @@ class TestLiveRows:
         ("no-edges", 0), ("no-edges", 1), ("no-edges", 2), ("no-edges", 5),
         ("no-edges", 12), ("isolated", 12), ("isolated", 30),
     ])
-    def test_sparse_graphs_gather_every_step(self, spy, width, graph, n):
+    def test_sparse_graphs_gather_every_step(self, spy, widths, width, graph, n):
         d = path_graph(n, INF)
-        # A diagonal entry past 2^31 - 1 takes the run to uint64.
-        np.fill_diagonal(d, 0 if width == "uint32" else 3_000_000_000)
+        # The diagonal sets the width: 0, or an entry past 2^15 - 1 or 2^31 - 1.
+        np.fill_diagonal(d, {"uint16": 0, "uint32": 100_000, "uint64": 3_000_000_000}[width])
         if graph == "isolated":
             # A 3-cycle; every other vertex is isolated.
             d[[0, 1, 2], [1, 2, 0]] = 100
-        assert fw._cast_in(d, n).dtype == (width if n else np.uint32)
         assert np.array_equal(fw_reference(d), scalar_fw(d))
+        assert widths == [[getattr(np, width) if n else np.uint16]]
         # A step has no row outside its pivot when n = 1: it sweeps row 0.
         assert [swept(step) for step in spy.steps] == [n < 2] * n
         for b in (1, 3):
@@ -673,7 +748,7 @@ class TestLiveRows:
         assert spy.relaxed == 247 + 511 * 512
 
     @pytest.mark.parametrize("width", WEIGHTS)
-    def test_steps_into_vertices_without_in_edges_relax_nothing(self, spy, width):
+    def test_steps_into_vertices_without_in_edges_relax_nothing(self, spy, widths, width):
         # Every vertex has edges to all of the first half; no vertex of the
         # second half has an in-edge. Step 0 sweeps, and from step n / 2 on
         # no row is live: a one-way switch to dense would sweep those too.
@@ -683,8 +758,8 @@ class TestLiveRows:
         d = d.astype(np.uint32)
         d[:, n // 2:] = INF
         np.fill_diagonal(d, 0)
-        assert fw._cast_in(d, n).dtype == width
         assert np.array_equal(fw_reference(d), scalar_fw(d))
+        assert widths[-1] == [getattr(np, width)]
         assert swept(spy.steps[0])
         assert [step.rows for step in spy.steps[n // 2:]] == [0] * (n // 2)
         for b in (1, 4):
@@ -694,3 +769,61 @@ class TestLiveRows:
             assert np.array_equal(fw_blocked(t).tiles, want)
             assert swept(spy.steps[0])
             assert [step.rows for step in spy.steps[t.m // 2:]] == [0] * (t.m // 2)
+
+
+@st.composite
+def chained(draw):
+    """(d, b): a digraph over the chain 0 -> 1 -> ... -> n - 1, n in [5, 24],
+    edge weights in [w // 2, w] and b in [1, n + 3]. w is drawn where uint16
+    is tried but not proven exact, (n - 1) * w >= 2^15 - 1 > w * n.bit_length(),
+    so the chain alone spans about (n - 1) * 3w / 4, either side of the cap."""
+    n = draw(st.integers(5, 24))
+    w = draw(st.integers(-(-CAP16 // (n - 1)), (CAP16 - 1) // n.bit_length()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.integers(w // 2, w + 1, size=(n, n)).astype(np.uint32)
+    d[rng.random((n, n)) >= draw(st.floats(0.0, 0.3))] = INF
+    d[np.arange(n - 1), np.arange(1, n)] = rng.integers(w // 2, w + 1, n - 1)
+    np.fill_diagonal(d, 0)
+    d[0, 1] = w
+    return d, draw(st.integers(1, n + 3))
+
+
+class TestCheck:
+    """The after-the-fact check: a width short of a proof is kept only if the
+    largest result below its cap, plus the largest finite entry w, is below
+    the cap; otherwise the kernel reruns one width up."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chained())
+    def test_distances_straddling_the_uint16_cap(self, widths, case):
+        d, b = case
+        n = len(d)
+        want = scalar_fw(d)
+        t = to_tile_major(d, b)
+        naive = naive_blocked(t)
+        widths.clear()
+        assert np.array_equal(fw_reference(d), want)
+        assert np.array_equal(fw_blocked(t).tiles, naive)
+        w = int(d[0, 1])
+        longest = int(np.max(want, where=want != INF, initial=0))
+        assert widths[0] == [np.uint16] + ([] if longest + w < CAP16 else [np.uint32])
+        # Padding to t.n vertices may lift w * t.n.bit_length() to the cap.
+        assert widths[1] == (widths[0] if w * t.n.bit_length() < CAP16 else [np.uint32])
+
+    def test_long_path_widens(self, widths):
+        # 399 edges of 100: the longest distance, 39,900, is past 2^15 - 1,
+        # while w * n.bit_length() = 900 has uint16 tried first. The closed
+        # form stands in for scalar_fw, which would take 400^3 steps.
+        n = 400
+        d = path_graph(n, 100)
+        i, j = np.indices((n, n))
+        want = np.where(j >= i, (j - i) * 100, INF).astype(np.uint32)
+        t = to_tile_major(d, 40)
+        naive = naive_blocked(t)
+        widths.clear()
+        assert np.array_equal(fw_reference(d), want)
+        out = fw_blocked(t)
+        assert np.array_equal(out.tiles, naive)
+        assert np.array_equal(from_tile_major(out, n), want)
+        assert widths == [[np.uint16, np.uint32]] * 2
