@@ -3,13 +3,13 @@ runs on, the O(N^3) reference and the blocked variant.
 
 Distances are uint32, and addition saturates at INF. The kernels never clamp:
 they work below a cap, INF mapped to it, so no sum of two wraps and capped
-(min, +) gives min(distance, cap). _closure picks the narrowest width of _CAPS
-whose cap exceeds w, the largest finite entry, and whose result is exact:
-proven when max(n - 1, 1) * w is below the cap, else tried while
-w * n.bit_length() is and kept if the largest result below the cap, plus w, is
-below it too. A finite distance at the cap fails that check: a prefix of its
-shortest path is exact in [cap - w, cap). Both kernels relax their row-major
-working copy through one row sweep, _relax.
+(min, +) gives min(distance, cap). _closure runs them at the narrowest width
+of _CAPS whose cap exceeds w * n.bit_length(), w the largest finite entry,
+and keeps the result if the largest entry below the cap, plus w, is below it
+too; else it reruns one width up. uint64, capped at INF, is always kept. A
+finite distance or cycle at the cap fails the check: a prefix of its shortest
+path or cycle is a shortest distance, exact in [cap - w, cap). Both kernels
+relax their row-major working copy through one row sweep, _relax.
 """
 
 from __future__ import annotations
@@ -30,27 +30,27 @@ def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
     working copy of d (n^2 entries) in place, at the narrowest exact width."""
     w = int(np.max(d, where=d != INF, initial=0))
     for dtype, cap in _CAPS.items():
-        proven = max(n - 1, 1) * w < cap
-        if proven or w * n.bit_length() < cap or cap == INF:
+        if w * n.bit_length() < cap or cap == INF:
             # A uint16 working copy is the back half of the uint32 result's
             # memory. Clamped in d's width, entries narrow on the write.
             out = np.empty(n * n, np.promote_types(dtype, np.uint32))
             work = out.view(dtype)[-n * n:].reshape(n, n)
             np.minimum(d, cap, out=work.reshape(d.shape), casting="unsafe")
             loop(work)
-            if proven or cap == INF or int(np.max(work, where=work < cap, initial=0)) + w < cap:
+            if cap == INF or int(np.max(work, where=work < cap, initial=0)) + w < cap:
                 break
             del out, work  # before the next width's buffer
-    if dtype is np.uint16:  # entries below n^2 // 2 lie clear of the uint16 half
-        half = n * n // 2
-        out[:half] = work.reshape(-1)[:half]
-        out[half:] = work.reshape(-1)[half:]  # numpy buffers the overlap
+    # An ascending copy never overtakes its source: entry j goes to bytes
+    # [4j, 4j + 4), short of unread entry j + 1 at 2 * n^2 + 2j + 2, so numpy
+    # widens the uint16 copy in place, without a temporary.
+    if dtype is np.uint16:
+        out[:] = work.reshape(-1)
     out = out.astype(np.uint32, copy=False).reshape(n, n)
     out[out == cap] = INF
     return out
 
 
-def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray, tmp=None) -> None:
+def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     """out = min(out, left (x) right) in place, over matrices or stacks of
     them: out[..., r, c], left[..., r, t], right[..., t, c].
 
@@ -59,12 +59,12 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray, tmp=None) -> 
     operand then holds at step t what steps < t wrote, which makes
     _minplus(d, d, d) Floyd-Warshall (fw_blocked's pivot closure). All three
     must share one dtype of _CAPS, holding values <= its cap, so that no
-    sum wraps. tmp, the sums' scratch of out's shape and dtype, is optional.
+    sum wraps.
     """
     if not (out.dtype == left.dtype == right.dtype and out.dtype.type in _CAPS):
         raise TypeError("_minplus needs uint16, uint32 or uint64 operands of one "
                         f"dtype, got {out.dtype}, {left.dtype}, {right.dtype}")
-    tmp = np.empty(out.shape, dtype=out.dtype) if tmp is None else tmp
+    tmp = np.empty(out.shape, dtype=out.dtype)
     for t in range(left.shape[-1]):
         np.add(left[..., :, t, None], right[..., t, None, :], out=tmp)
         np.minimum(out, tmp, out=out)
@@ -72,30 +72,28 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray, tmp=None) -> 
 
 def _relax(d: np.ndarray, lo: int, hi: int, right: np.ndarray) -> None:
     """d[i] = min(d[i], d[i, lo:hi] (x) right) for each row i outside lo:hi,
-    in bands of _CHUNK_BYTES (at least a row) that share one scratch. A dead
-    row, its pivot entries d[i, lo:hi] all at the cap, cannot change: its sums
-    are >= the cap >= its entries. While gathering the live rows takes fewer
-    passes than bands, live * (h + 1) < h * (n - h) with h = hi - lo, they are
-    gathered; otherwise bands sweep every row, the pivot row too at h = 1. The
-    pivot rows are a fixed point of their own step, so either is exact."""
+    in bands of _CHUNK_BYTES (at least a row). A dead row, its pivot entries
+    d[i, lo:hi] all at the cap, cannot change: its sums are >= the cap >= its
+    entries. While gathering the live rows takes fewer passes than bands,
+    live * (h + 1) < h * (n - h) with h = hi - lo, they are gathered;
+    otherwise bands sweep every row, the pivot row too at h = 1. The pivot
+    rows are a fixed point of their own step, so either is exact."""
     n, h = d.shape[0], hi - lo
     band = max(1, _CHUNK_BYTES // (n * d.itemsize))
     mask = (d[:, lo:hi] < _CAPS[d.dtype.type]).any(axis=1)
     mask[lo:hi] = False
     live = np.flatnonzero(mask)
     if len(live) * (h + 1) < h * (n - h):
-        tmp = np.empty((min(band, len(live)), n), d.dtype)
         for r in range(0, len(live), band):
             rows = live[r:r + band]
             block = d[rows]
-            _minplus(block, block[:, lo:hi].copy(), right, tmp[:len(rows)])
+            _minplus(block, block[:, lo:hi].copy(), right)
             d[rows] = block
         return
-    tmp = np.empty((min(band, n), n), d.dtype)
     for start, stop in ((0, n),) if h == 1 else ((0, lo), (hi, n)):
         for r in range(start, stop, band):
             block = d[r:min(r + band, stop)]
-            _minplus(block, block[:, lo:hi].copy(), right, tmp[:len(block)])
+            _minplus(block, block[:, lo:hi].copy(), right)
 
 
 def fw_reference(d: np.ndarray) -> np.ndarray:

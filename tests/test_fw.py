@@ -331,17 +331,18 @@ def chain(weights):
 
 
 class TestWidth:
-    """Each kernel works in uint16, uint32 or uint64: a width whose cap is
-    above the largest finite entry w, proven exact when max(n - 1, 1) * w is
-    below the cap, else tried while w * n.bit_length() is and kept if the
-    largest result below the cap, plus w, is below it too. Either way the
-    distances are the same."""
+    """Each kernel works in uint16, uint32 or uint64: the narrowest width
+    tried, as w * n.bit_length() is below its cap (w the largest finite
+    entry), whose result passes the check: the largest entry below the cap,
+    plus w, is below it too. uint64 always passes. Either way the distances
+    are the same."""
 
     CASES = {
         # A plain (n - 1) bound would take this narrow and wrap 3e9.
         "one-vertex-3e9": (np.array([[3_000_000_000]], dtype=np.uint32), [np.uint64]),
-        # (n - 1) * w = 6 * 357_913_941 = 2^31 - 2, the chain 0 -> 6.
-        "path-cap-minus-1": (path_graph(7, (2**31 - 2) // 6), [np.uint32]),
+        # (n - 1) * w = 6 * 357_913_941 = 2^31 - 2, the chain 0 -> 6: exact
+        # in uint32, but 2^31 - 2 + w fails the check, so it reruns in uint64.
+        "path-cap-minus-1": (path_graph(7, (2**31 - 2) // 6), [np.uint32, np.uint64]),
         # (n - 1) * w = 2^31 - 1, which is prime: n = 2.
         "path-at-cap": (path_graph(2, 2**31 - 1), [np.uint64]),
         "no-edges": (path_graph(5, INF), [np.uint16]),
@@ -355,6 +356,13 @@ class TestWidth:
         "check-at-cap": (chain([2100] * 14 + [633, 634, 2100]), [np.uint16, np.uint32]),
         # Clamped after narrowing, 70,000 would wrap to 4,464.
         "edge-70000": (chain([70_000, 5]), [np.uint32]),
+        # (n - 1) * w = 32,000 is below 2^15 - 1, but with no zero diagonal
+        # the 3-cycle 0 -> 1 -> 2 -> 0 of 48,000 is each vertex's distance to
+        # itself. Its prefix of 32,000 fails the check: kept in uint16 the
+        # cycle would read INF.
+        "cycle-3x16000": (np.array([[INF, 16_000, INF], [INF, INF, 16_000],
+                                    [16_000, INF, INF]], dtype=np.uint32),
+                          [np.uint16, np.uint32]),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -474,10 +482,10 @@ def spy(monkeypatch):
         relax(d, lo, hi, right)
         log.steps.append(Step(len(d), hi - lo, live, log.rows - before))
 
-    def spied_minplus(out, left, right, tmp=None):
+    def spied_minplus(out, left, right):
         log.rows += out.shape[-2]
         log.relaxed += out.shape[-2] * left.shape[-1]
-        minplus(out, left, right, tmp)
+        minplus(out, left, right)
 
     monkeypatch.setattr(fw, "_relax", spied_relax)
     monkeypatch.setattr(fw, "_minplus", spied_minplus)
@@ -629,9 +637,9 @@ class TestFold:
         (7, 1), (7, 2), (7, 3), (7, 6), (7, 7),
         (10, 1), (10, 2), (10, 3), (10, 9), (10, 10),
     ])
-    # uint32 is proven exact while the largest finite entry is at most
-    # limit = (2^31 - 2) // (padded n - 1). From limit + 1 on it is tried, as
-    # limit * padded.bit_length() < 2^31 - 1, and every draw here passes the
+    # limit = (2^31 - 2) // (padded n - 1) is the largest w whose paths all
+    # stay below 2^31 - 1. At limit and limit + 1 uint32 is tried, as
+    # w * padded.bit_length() < 2^31 - 1, and every draw here passes the
     # check: its longest distance plus w stays below 2^31 - 1. INF - 1 goes
     # straight to uint64.
     @pytest.mark.parametrize("largest", ["limit", "limit+1", "INF-1"])
@@ -775,8 +783,8 @@ class TestLiveRows:
 def chained(draw):
     """(d, b): a digraph over the chain 0 -> 1 -> ... -> n - 1, n in [5, 24],
     edge weights in [w // 2, w] and b in [1, n + 3]. w is drawn where uint16
-    is tried but not proven exact, (n - 1) * w >= 2^15 - 1 > w * n.bit_length(),
-    so the chain alone spans about (n - 1) * 3w / 4, either side of the cap."""
+    is tried, w * n.bit_length() < 2^15 - 1 <= (n - 1) * w, so the chain alone
+    spans about (n - 1) * 3w / 4, either side of the cap."""
     n = draw(st.integers(5, 24))
     w = draw(st.integers(-(-CAP16 // (n - 1)), (CAP16 - 1) // n.bit_length()))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -789,7 +797,7 @@ def chained(draw):
 
 
 class TestCheck:
-    """The after-the-fact check: a width short of a proof is kept only if the
+    """The after-the-fact check: a width below uint64 is kept only if the
     largest result below its cap, plus the largest finite entry w, is below
     the cap; otherwise the kernel reruns one width up."""
 

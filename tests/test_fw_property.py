@@ -12,10 +12,11 @@ from scipy.sparse.csgraph import floyd_warshall
 
 from fwsim import INF, from_tile_major, fw_blocked, fw_reference, to_tile_major
 
-# (2^15 // 48, 2^15 // 32) and (2^31 // 48, 2^31 // 32) straddle the bound
-# (n - 1) * w = cap that proves uint16 and uint32 exact, for n - 1 in
-# [32, 48), so draws of n <= 40 hit both sides: above it the width is tried
-# and kept only if its result passes the check.
+# (2^15 // 48, 2^15 // 32) and (2^31 // 48, 2^31 // 32) put (n - 1) * w, the
+# longest a path can be, either side of the uint16 or uint32 cap for n - 1 in
+# [32, 48), so draws of n <= 40 have distances on both sides: the width is
+# tried while w * n.bit_length() is below its cap and kept only if its result
+# passes the check.
 WEIGHT_RANGES = ((1, 10), (1, 1000), (2**15 // 48, 2**15 // 32),
                  (2**31 // 48, 2**31 // 32), (2**31, INF - 1), (INF - 100, INF - 1))
 
