@@ -107,7 +107,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify needs --nodes")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    check_functional_size(n)
+    check_functional_size(n, b)
     failures = []
     for trial in range(args.trials):
         edges = gen_synthetic(n, args.density, seed=args.seed + trial)

@@ -12,6 +12,16 @@ on the TSV bus; steady-state pivot-vector streams ride inside the tile events
 (counts always charged, cycles hidden under compute when broadcast_overlap is
 on). Rounds never overlap.
 
+timeline() returns the run as one EVENT record array. Each record is an
+occupancy interval [start, end) of round k on one unit of its kind's resource:
+the bank-group for the pivot and updates, the channel for CPE_REDUCE, and 0,
+the TSV bus, for broadcasts. The target tile is (i, j); the bulk load, first
+when it takes cycles, has k = i = j = -1. Each round emits its pivot, its
+fill, per row or column tile the update, reduction and result broadcast, then
+per wavefront tile the update and reduction. An event's counts are its kind's
+quote plus its tsv_bits: tile_update_cost for the pivot and both update kinds,
+cpe_reduction_cost for reductions, and nothing for broadcasts.
+
 No resource is busy when a round starts and every stage waits for the one
 before it, so every time in a round is an offset from its start and a round's
 length does not depend on when it starts. Rounds are therefore built in groups
@@ -42,7 +52,7 @@ tests/reference_scheduler.py schedules tile by tile; it is the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -69,35 +79,22 @@ FUNCTIONAL_GUARD = 4096
 _GROUP_UPDATES = 8192
 
 
-class EventKind(Enum):
-    PIVOT_FW = "pivot_fw"
-    BROADCAST = "broadcast"
-    ROW_COL_UPDATE = "row_col_update"
-    REMAINING_UPDATE = "remaining_update"
-    CPE_REDUCE = "cpe_reduce"
+class EventKind(IntEnum):
+    PIVOT_FW = 0
+    BROADCAST = 1
+    ROW_COL_UPDATE = 2
+    REMAINING_UPDATE = 3
+    CPE_REDUCE = 4
 
 
-@dataclass(frozen=True)
-class PhaseEvent:
-    """One scheduled occupancy interval on a resource.
-
-    resource is "bg:<id>" for bank-groups, "ch:<id>" for a channel's reducer
-    and broadcast port, or "tsv" for the shared vertical bus. Events on the
-    same resource never overlap in [start_cycle, end_cycle).
-    """
-
-    kind: EventKind
-    k: int
-    target: tuple[int, int] | None
-    resource: str
-    start_cycle: int
-    end_cycle: int
-    counts: OpCounts
+# One event of timeline(), as the module docstring describes it.
+EVENT = np.dtype([("kind", np.int8)] + [(name, np.int64) for name in
+                                         ("k", "i", "j", "unit", "start", "end", "tsv_bits")])
 
 
 @dataclass
 class SimResult:
-    """Totals of one simulated run. timeline() gives its events."""
+    """Totals of one simulated run; timeline() gives the same run's events."""
 
     n: int
     block_size: int
@@ -148,11 +145,27 @@ def _scan(op: np.ufunc, keys: np.ndarray, ranks: np.ndarray, values: np.ndarray)
     return op.accumulate(grid, axis=1)[keys, ranks]
 
 
+def _order(shape, pivot, broadcast, update, reduce) -> np.ndarray:
+    """One EVENT field of a group of rounds in emission order (see above).
+    shape is (rounds, row/column tiles, updates); the values broadcast to
+    (rounds, 1) for the pivot, (rounds, 1 + row/column tiles) for the fill
+    and result broadcasts, and (rounds, updates) for updates and reductions."""
+    rounds, rc, updates = shape
+    pivot = np.broadcast_to(pivot, (rounds, 1))
+    broadcast = np.broadcast_to(broadcast, (rounds, 1 + rc))
+    update, reduce = (np.broadcast_to(a, (rounds, updates)) for a in (update, reduce))
+    per_tile = [np.stack([update[:, :rc], reduce[:, :rc], broadcast[:, 1:]], axis=2),
+                np.stack([update[:, rc:], reduce[:, rc:]], axis=2)]
+    return np.concatenate([pivot, broadcast[:, :1]] + [t.reshape(rounds, -1) for t in per_tile],
+                          axis=1).ravel()
+
+
 def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
-         events: list[PhaseEvent] | None) -> SimResult:
+         events: list[tuple] | None) -> SimResult:
     """Validate, charge the bulk load, then chain the pivot rounds, each
-    starting when the previous one's last event ends. Every event is appended
-    to events when it is a list.
+    starting when the previous one's last event ends. With an events list,
+    each group of rounds appends EVENT's eight fields as columns, and the bulk
+    load and a lone pivot (m = 1) a one-row tuple each.
 
     Every tile update, the pivot's in-tile FW included, charges the
     tile_update_cost quote, and every other update one channel-PE reduction:
@@ -202,13 +215,11 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     if start > 0:
         tsv_bits = (m * b) * (m * b) * cfg.pim.operand_bits
         if events is not None:
-            events.append(PhaseEvent(EventKind.BROADCAST, -1, None, "tsv", 0, start,
-                                     OpCounts(tsv_bits=tsv_bits)))
+            events.append((EventKind.BROADCAST, -1, -1, -1, 0, 0, start, tsv_bits))
     if m == 1:  # one round, its pivot tile alone; the groups below need updates
         busy[0] = update.cycles
         if events is not None:
-            events.append(PhaseEvent(EventKind.PIVOT_FW, 0, (0, 0), "bg:0",
-                                     start, start + update.cycles, update.counts))
+            events.append((EventKind.PIVOT_FW, 0, 0, 0, 0, start, start + update.cycles, 0))
         start += update.cycles
     group = max(1, _GROUP_UPDATES // max(m * m, width))
     for k0 in range(0, m if m > 1 else 0, group):
@@ -276,13 +287,22 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
         starts = start + np.cumsum(lengths) - lengths
         start += int(lengths.sum())
         if events is not None:
-            for r, k in enumerate(ks.tolist()):
-                s = starts[r]
-                _emit(events, k, int(s), int(pivot_bg[r]), others[r].tolist(), g, update, cpe,
-                      bgs[r].tolist(), vec_bits[r].tolist(),
-                      (s + np.stack([ends[r] - cycles[r], ends[r], cpe_ends[r]])).tolist(),
-                      [*(s + np.stack([bcast_ends[r] - bcast[r], bcast_ends[r]])).tolist(),
-                       (crossings[r] * vector_bits).tolist()])
+            # Each update's target tile i * m + j; the fill's is the pivot's.
+            k, s, shape = ks[:, None], starts[:, None], (len(ks), rc, bgs.shape[1])
+            inner = (others[:, :, None] * m + others[:, None]).reshape(len(ks), -1)
+            tiles = np.concatenate([k * m + others, others * m + k, inner], axis=1)
+            kind = np.where(np.arange(shape[2]) < rc, EventKind.ROW_COL_UPDATE,
+                            EventKind.REMAINING_UPDATE)
+            events.append((
+                _order(shape, EventKind.PIVOT_FW, EventKind.BROADCAST, kind, EventKind.CPE_REDUCE),
+                _order(shape, k, k, k, k),
+                *np.divmod(_order(shape, k * (m + 1), np.c_[k * (m + 1), tiles[:, :rc]], tiles,
+                                  tiles), m),
+                _order(shape, pivot_bg[:, None], 0, bgs, bgs // g),
+                _order(shape, s, s + bcast_ends - bcast, s + ends - cycles,
+                       s + cpe_ends - cpe.cycles),
+                _order(shape, s + update.cycles, s + bcast_ends, s + ends, s + cpe_ends),
+                _order(shape, 0, crossings * vector_bits, vec_bits, 0)))
 
     counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
               + OpCounts(tsv_bits=tsv_bits))
@@ -291,31 +311,6 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
                      bulk_load_cycles=cfg.pim.bulk_load_cycles, counts=counts,
                      energy=energy_of(counts, cfg.energy),
                      per_bank_group_busy=busy.tolist())
-
-
-def _emit(events, k, round_start, pivot_bg, others, g, update, cpe, bgs, vec_bits, spans,
-          broadcasts) -> None:
-    """Append pivot round k's events: its pivot tile, the pivot fill, then per
-    update (bank-group, stream bits, spans: start, end, reduction end) its
-    tile event, reduction and, for a row or column tile, result broadcast."""
-    events.append(PhaseEvent(EventKind.PIVOT_FW, k, (k, k), f"bg:{pivot_bg}", round_start,
-                             round_start + update.cycles, update.counts))
-    targets = ([(k, j) for j in others] + [(i, k) for i in others]
-               + [(i, j) for i in others for j in others])
-    published = [PhaseEvent(EventKind.BROADCAST, k, target, "tsv", start, end,
-                             OpCounts(tsv_bits=bits))
-                 for target, start, end, bits in zip([(k, k)] + targets, *broadcasts)]
-    events.append(published[0])
-    for t, (target, bg, bits, start, end, cpe_end) in enumerate(
-            zip(targets, bgs, vec_bits, *spans)):
-        rc = t < len(published) - 1
-        events.append(PhaseEvent(EventKind.ROW_COL_UPDATE if rc else EventKind.REMAINING_UPDATE,
-                                 k, target, f"bg:{bg}", start, end,
-                                 update.counts + OpCounts(tsv_bits=bits)))
-        events.append(PhaseEvent(EventKind.CPE_REDUCE, k, target, f"ch:{bg // g}",
-                                 cpe_end - cpe.cycles, cpe_end, cpe.counts))
-        if rc:
-            events.append(published[t + 1])
 
 
 def simulate(n: int, b: int, cfg: HbmConfig, *,
@@ -329,18 +324,22 @@ def simulate(n: int, b: int, cfg: HbmConfig, *,
 
 
 def timeline(n: int, b: int, cfg: HbmConfig, *,
-             enforce_wavefront: bool = True) -> list[PhaseEvent]:
-    """Every event of the run that simulate() totals, in emission order."""
-    events: list[PhaseEvent] = []
+             enforce_wavefront: bool = True) -> np.ndarray:
+    """Every event of the run that simulate() totals, as one EVENT record
+    array in emission order (see the module docstring)."""
+    events: list[tuple] = []
     _run(n, b, cfg, enforce_wavefront, events)
-    return events
+    return np.rec.fromarrays([np.hstack(field) for field in zip(*events)],
+                             dtype=EVENT).view(np.ndarray)
 
 
-def check_functional_size(n: int) -> None:
-    """Refuse functional execution of an n-vertex matrix past the guard."""
-    if n > FUNCTIONAL_GUARD:
-        raise GuardError(f"functional execution is guarded at n <= {FUNCTIONAL_GUARD} "
-                         f"(got {n}); use the timing-only simulate() for larger runs")
+def check_functional_size(n: int, b: int) -> None:
+    """Refuse functional execution of an n-vertex matrix whose padding to
+    whole b x b tiles, the size the kernels work on, passes the guard."""
+    padded = tiles_per_row(n, b) * b
+    if padded > FUNCTIONAL_GUARD:
+        raise GuardError(f"functional execution is guarded at n <= {FUNCTIONAL_GUARD} padded "
+                         f"(n={n} pads to {padded} at b={b}); use the timing-only simulate()")
 
 
 def simulate_functional(
@@ -353,7 +352,7 @@ def simulate_functional(
     """Run the blocked algorithm for values and the scheduler for timing on
     the same workload. Returns (distance matrix, SimResult)."""
     n = d.shape[0]
-    check_functional_size(n)
+    check_functional_size(n, b)
     tiled = to_tile_major(d, b)
     result = simulate(n, b, cfg, enforce_wavefront=enforce_wavefront)
     return from_tile_major(fw_blocked(tiled), n), result

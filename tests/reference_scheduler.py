@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from fwsim.errors import ConstraintViolation
 from fwsim.hbm import HbmConfig, validate_config
 from fwsim.perf import (
@@ -24,7 +26,7 @@ from fwsim.perf import (
     tile_row_pass_cost,
     tile_update_cost,
 )
-from fwsim.scheduler import EventKind, PhaseEvent, SimResult, tiles_per_row
+from fwsim.scheduler import EVENT, EventKind, SimResult, tiles_per_row
 
 
 def map_tile_to_bank_group(i: int, j: int, m: int, c: int, g: int) -> int:
@@ -100,6 +102,15 @@ def round_records(k: int, m: int) -> list[TileOpRecord]:
     return records
 
 
+def kind_quotes(b: int, cfg: HbmConfig) -> dict[EventKind, OpCounts]:
+    """Each event kind's op counts: an event counts its kind's plus its
+    tsv_bits."""
+    update = tile_update_cost(b, cfg).counts
+    return {EventKind.PIVOT_FW: update, EventKind.BROADCAST: OpCounts(),
+            EventKind.ROW_COL_UPDATE: update, EventKind.REMAINING_UPDATE: update,
+            EventKind.CPE_REDUCE: cpe_reduction_cost(cfg.bank_groups_per_channel, cfg).counts}
+
+
 def full_trace(m: int) -> list[TileOpRecord]:
     trace: list[TileOpRecord] = []
     for k in range(m):
@@ -108,10 +119,10 @@ def full_trace(m: int) -> list[TileOpRecord]:
 
 
 def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
-        events: list[PhaseEvent] | None) -> SimResult:
+        events: list[tuple] | None) -> SimResult:
     """Validate, charge the bulk load, then chain the pivot rounds, each
     starting when the previous one's last event ends. Every event is appended
-    to events when it is a list."""
+    to events, as a tuple in EVENT field order, when it is a list."""
     m = tiles_per_row(n, b)
     try:
         validate_config(cfg, m)
@@ -133,16 +144,14 @@ def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     if start > 0:
         tsv_bits = (m * b) * (m * b) * cfg.pim.operand_bits
         if events is not None:
-            events.append(PhaseEvent(EventKind.BROADCAST, -1, None, "tsv", 0, start,
-                                     OpCounts(tsv_bits=tsv_bits)))
+            events.append((EventKind.BROADCAST, -1, -1, -1, 0, 0, start, tsv_bits))
     for k in range(m):
         pivot, *updates = round_records(k, m)
         pivot_bg = bank_group[pivot.target]
         pivot_end = start + update.cycles
         busy[pivot_bg] += update.cycles
         if events is not None:
-            events.append(PhaseEvent(EventKind.PIVOT_FW, k, pivot.target,
-                                     f"bg:{pivot_bg}", start, pivot_end, update.counts))
+            events.append((EventKind.PIVOT_FW, k, *pivot.target, pivot_bg, start, pivot_end, 0))
         if not updates:
             start = pivot_end
             continue
@@ -152,8 +161,8 @@ def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
         fill_end = tsv_free = pivot_end + fill.cycles
         tsv_bits += fill.counts.tsv_bits
         if events is not None:
-            events.append(PhaseEvent(EventKind.BROADCAST, k, pivot.target, "tsv",
-                                     pivot_end, fill_end, fill.counts))
+            events.append((EventKind.BROADCAST, k, *pivot.target, 0, pivot_end, fill_end,
+                           fill.counts.tsv_bits))
         group_free: dict[int, int] = {}
         chan_free: dict[int, int] = {}
         for r in updates:
@@ -180,10 +189,9 @@ def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
             chan_free[ch] = cpe_start + cpe.cycles
             if events is not None:
                 kind = EventKind.REMAINING_UPDATE if wavefront else EventKind.ROW_COL_UPDATE
-                events.append(PhaseEvent(kind, k, r.target, f"bg:{bg}", tile_start, end,
-                                         update.counts + OpCounts(tsv_bits=vec_bits)))
-                events.append(PhaseEvent(EventKind.CPE_REDUCE, k, r.target, f"ch:{ch}",
-                                         cpe_start, chan_free[ch], cpe.counts))
+                events.append((kind, k, *r.target, bg, tile_start, end, vec_bits))
+                events.append((EventKind.CPE_REDUCE, k, *r.target, ch, cpe_start,
+                               chan_free[ch], 0))
             if wavefront:
                 continue
             ti, tj = r.target
@@ -196,8 +204,8 @@ def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
             tsv_free = f_start + f.cycles
             tsv_bits += f.counts.tsv_bits
             if events is not None:
-                events.append(PhaseEvent(EventKind.BROADCAST, k, r.target, "tsv",
-                                         f_start, tsv_free, f.counts))
+                events.append((EventKind.BROADCAST, k, *r.target, 0, f_start, tsv_free,
+                               f.counts.tsv_bits))
         start = max(tsv_free, *chan_free.values())
 
     counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
@@ -221,7 +229,7 @@ def simulate(n: int, b: int, cfg: HbmConfig, *,
 
 
 def timeline(n: int, b: int, cfg: HbmConfig, *,
-             enforce_wavefront: bool = True) -> list[PhaseEvent]:
-    events: list[PhaseEvent] = []
+             enforce_wavefront: bool = True) -> np.ndarray:
+    events: list[tuple] = []
     run(n, b, cfg, enforce_wavefront, events)
-    return events
+    return np.array(events, dtype=EVENT)

@@ -74,7 +74,7 @@ BAD_INPUTS = {
     "verify-density-2": VERIFY + ["--density", "2"],
     "verify-graph": VERIFY + ["--graph", "{tmp}/missing.txt"],
     "verify-undirected": VERIFY + ["--undirected"],
-    # The functional guard (n <= 4096) trips before the graph is built.
+    # The functional guard (padded n <= 4096) trips before the graph is built.
     "verify-nodes-4097": ["verify", "--nodes", "4097", "--block-size", "4097",
                           "--trials", "1", "--density", "0.0001"],
     "sweep-block-size-0": ["sweep", "--nodes", "64", "--block-size", "0",
@@ -129,6 +129,22 @@ def test_verify_checks_the_guard_before_building_a_graph(monkeypatch, capsys):
                            "--block-size", "8", "--trials", "1"], capsys)
     assert code == cli.EXIT_USAGE
     assert "guarded" in err
+
+
+def test_verify_guards_the_padded_size(monkeypatch, capsys):
+    """n = 4096 passes the guard unpadded, but b = 4095 pads it to 8190: the
+    kernels would work on 8190 x 8190 copies. verify refuses it before any
+    graph is built; at b = 64 nothing is padded and the guard passes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_synthetic called past the functional guard")
+
+    monkeypatch.setattr(cli, "gen_synthetic", refuse)
+    code, _, err = invoke(["verify", "--nodes", "4096", "--block-size", "4095",
+                           "--trials", "1"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "guarded" in err and "8190" in err
+    assert "Traceback" not in err
+    scheduler.check_functional_size(4096, 64)
 
 
 def test_verify_mismatch_exits_1(monkeypatch, capsys):

@@ -21,7 +21,7 @@ from reference_scheduler import broadcast_cost
 def pivot_cycles(b, cfg):
     """Cycles the scheduler charges the pivot tile's in-tile FW (m = 1)."""
     (pivot,) = timeline(b, b, cfg)
-    return pivot.end_cycle - pivot.start_cycle
+    return int(pivot["end"] - pivot["start"])
 
 
 def with_pes(cfg, per_group):

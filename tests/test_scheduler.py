@@ -6,6 +6,7 @@ from collections import defaultdict, deque
 import numpy as np
 import pytest
 
+import reference_scheduler
 from fwsim import (
     EventKind,
     build_distance_matrix,
@@ -24,14 +25,12 @@ from fwsim.errors import ConstraintViolation, GuardError
 
 def round_events(k, m, b, cfg):
     """The events of pivot round k of an (m * b)-vertex run."""
-    return [e for e in timeline(m * b, b, cfg) if e.k == k]
+    events = timeline(m * b, b, cfg)
+    return events[events["k"] == k]
 
 
 def events_by_kind(events):
-    out = defaultdict(list)
-    for e in events:
-        out[e.kind].append(e)
-    return out
+    return {kind: events[events["kind"] == kind] for kind in EventKind}
 
 
 class TestRoundStructure:
@@ -39,10 +38,11 @@ class TestRoundStructure:
         cfg = default_config()
         events = round_events(0, 1, 64, cfg)
         assert len(events) == 1
-        assert events[0].kind is EventKind.PIVOT_FW
-        assert events[0].start_cycle == 0
-        assert events[0].end_cycle == tile_update_cost(64, cfg).cycles
-        assert events[0].counts == tile_update_cost(64, cfg).counts
+        assert events["kind"][0] == EventKind.PIVOT_FW
+        assert events["start"][0] == 0
+        assert events["end"][0] == tile_update_cost(64, cfg).cycles
+        # A pivot's counts are the tile_update_cost quote plus its TSV bits.
+        assert events["tsv_bits"][0] == 0
 
     def test_m1_simulate_total_equals_pivot(self):
         cfg = default_config()
@@ -65,18 +65,16 @@ class TestRoundStructure:
         events = round_events(0, 2, 8, cfg)
         kinds = events_by_kind(events)
         p2 = kinds[EventKind.ROW_COL_UPDATE]
-        assert p2[0].resource != p2[1].resource
-        assert p2[0].start_cycle == p2[1].start_cycle
+        assert p2["unit"][0] != p2["unit"][1]
+        assert p2["start"][0] == p2["start"][1]
 
     def test_phase3_max_serialization_default_m16(self):
         # 225 wavefront tiles over 32 groups: the most loaded group queues 8.
         cfg = default_config()
         events = round_events(3, 16, 8, cfg)
-        per_group = defaultdict(int)
-        for e in events_by_kind(events)[EventKind.REMAINING_UPDATE]:
-            per_group[e.resource] += 1
-        assert max(per_group.values()) == 8
-        assert sum(per_group.values()) == 225
+        per_group = np.bincount(events_by_kind(events)[EventKind.REMAINING_UPDATE]["unit"])
+        assert per_group.max() == 8
+        assert per_group.sum() == 225
 
     def test_round_offsets_shift_uniformly(self):
         # A 1000-cycle bulk load delays every later event by exactly 1000.
@@ -84,21 +82,24 @@ class TestRoundStructure:
         loaded = dataclasses.replace(
             cfg, pim=dataclasses.replace(cfg.pim, bulk_load_cycles=1000))
         base = timeline(32, 8, cfg)
-        load, *moved = timeline(32, 8, loaded)
-        assert (load.k, load.start_cycle, load.end_cycle) == (-1, 0, 1000)
+        load, moved = np.split(timeline(32, 8, loaded), [1])
+        assert (load["k"][0], load["start"][0], load["end"][0]) == (-1, 0, 1000)
         assert len(base) == len(moved)
-        for a, b in zip(base, moved):
-            assert (b.kind, b.k, b.target, b.resource, b.counts) == (
-                a.kind, a.k, a.target, a.resource, a.counts)
-            assert b.start_cycle - a.start_cycle == 1000
-            assert b.end_cycle - a.end_cycle == 1000
+        for field in ("kind", "k", "i", "j", "unit", "tsv_bits"):
+            assert np.array_equal(moved[field], base[field]), field
+        assert (moved["start"] - base["start"] == 1000).all()
+        assert (moved["end"] - base["end"] == 1000).all()
 
 
 class TestInvariants:
     def scan_exclusive(self, events):
+        """Per resource (the TSV bus, a channel's reducer, a bank-group) and
+        unit, sorted spans never overlap."""
         per_resource = defaultdict(list)
-        for e in events:
-            per_resource[e.resource].append((e.start_cycle, e.end_cycle))
+        for kind, unit, start, end in zip(*(events[f].tolist()
+                                            for f in ("kind", "unit", "start", "end"))):
+            resource = {EventKind.BROADCAST: "tsv", EventKind.CPE_REDUCE: "ch"}.get(kind, "bg")
+            per_resource[resource, unit].append((start, end))
         for spans in per_resource.values():
             spans.sort()
             for (s1, e1), (s2, _) in zip(spans, spans[1:]):
@@ -112,45 +113,40 @@ class TestInvariants:
         self.scan_exclusive(timeline(256, 16, cfg, enforce_wavefront=False))
 
     def test_dependency_soundness(self):
-        rounds = defaultdict(list)
-        for e in timeline(512, 64, default_config()):  # m=8
-            rounds[e.k].append(e)
-        for k, events in rounds.items():
-            kinds = events_by_kind(events)
-            pivot_end = kinds[EventKind.PIVOT_FW][0].end_cycle
+        events = timeline(512, 64, default_config())  # m=8
+        for k in range(8):
+            kinds = events_by_kind(events[events["k"] == k])
+            pivot_end = kinds[EventKind.PIVOT_FW]["end"][0]
             pivot_bcast = kinds[EventKind.BROADCAST][0]
-            assert pivot_bcast.start_cycle >= pivot_end
-            for e in kinds[EventKind.ROW_COL_UPDATE]:
-                assert e.start_cycle >= pivot_bcast.end_cycle
-            if kinds[EventKind.REMAINING_UPDATE]:
-                sources_published = max(
-                    e.end_cycle
-                    for e in kinds[EventKind.ROW_COL_UPDATE] + kinds[EventKind.BROADCAST]
-                )
-                for e in kinds[EventKind.REMAINING_UPDATE]:
-                    assert e.start_cycle >= sources_published
+            assert pivot_bcast["start"] >= pivot_end
+            assert (kinds[EventKind.ROW_COL_UPDATE]["start"] >= pivot_bcast["end"]).all()
+            wavefront = kinds[EventKind.REMAINING_UPDATE]
+            if len(wavefront):
+                sources_published = max(kinds[EventKind.ROW_COL_UPDATE]["end"].max(),
+                                        kinds[EventKind.BROADCAST]["end"].max())
+                assert (wavefront["start"] >= sources_published).all()
 
     def test_round_barriers(self):
-        end_of = defaultdict(int)
-        start_of = defaultdict(lambda: 1 << 62)
-        for e in timeline(512, 64, default_config()):
-            end_of[e.k] = max(end_of[e.k], e.end_cycle)
-            start_of[e.k] = min(start_of[e.k], e.start_cycle)
+        events = timeline(512, 64, default_config())
         for k in range(1, 8):
-            assert start_of[k] >= end_of[k - 1]
+            assert (events["start"][events["k"] == k].min()
+                    >= events["end"][events["k"] == k - 1].max())
 
     def test_total_is_max_event_end(self):
         r = simulate(512, 64, default_config())
         events = timeline(512, 64, default_config())
-        assert r.total_cycles == max(e.end_cycle for e in events)
+        assert r.total_cycles == events["end"].max()
 
     def test_aggregate_counts_equal_event_sum(self):
+        # Each event counts its kind's quote plus its TSV bits.
         from fwsim.perf import OpCounts
 
-        r = simulate(256, 32, default_config())
-        total = OpCounts()
-        for e in timeline(256, 32, default_config()):
-            total = total + e.counts
+        cfg = default_config()
+        r = simulate(256, 32, cfg)
+        events = timeline(256, 32, cfg)
+        total = OpCounts(tsv_bits=int(events["tsv_bits"].sum()))
+        for kind, quote in reference_scheduler.kind_quotes(32, cfg).items():
+            total = total + quote.scaled(int((events["kind"] == kind).sum()))
         assert total == r.counts
 
     def test_work_conservation_small(self):
@@ -254,6 +250,15 @@ class TestFunctional:
         with pytest.raises(GuardError) as exc:
             simulate_functional(d, 4, cfg)
         assert "timing-only" in str(exc.value)
+
+    def test_guard_counts_the_padding(self, monkeypatch):
+        # 8 vertices pass a guard of 8 unpadded but pad to 9 at b = 3.
+        monkeypatch.setattr(scheduler, "FUNCTIONAL_GUARD", 8)
+        d = np.zeros((8, 8), dtype=np.uint32)
+        with pytest.raises(GuardError):
+            simulate_functional(d, 3, default_config(), enforce_wavefront=False)
+        got, _ = simulate_functional(d, 4, default_config(), enforce_wavefront=False)
+        assert np.array_equal(got, d)
 
     def test_unreachable_pairs_stay_inf(self):
         # BFS oracle: d[i][j] is INF exactly when j is unreachable from i.

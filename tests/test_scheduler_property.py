@@ -9,10 +9,11 @@ busy, total cycles, min-plus ops) are the sums over its events.
 """
 
 import dataclasses
-from collections import defaultdict
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import reference_scheduler as reference
 from fwsim import EventKind, OpCounts, default_config, simulate, timeline
 
 
@@ -45,26 +46,27 @@ def runs(draw):
 def check_dependency_order(k, events):
     """pivot -> pivot broadcast -> row/column updates -> wavefront, and each
     reduction or result broadcast after the update it follows."""
-    pivot = [e for e in events if e.kind is EventKind.PIVOT_FW]
-    assert len(pivot) == 1 and pivot[0].target == (k, k)
-    rowcol = [e for e in events if e.kind is EventKind.ROW_COL_UPDATE]
-    wavefront = [e for e in events if e.kind is EventKind.REMAINING_UPDATE]
-    broadcasts = {e.target: e for e in events if e.kind is EventKind.BROADCAST}
-    update_end = {e.target: e.end_cycle for e in rowcol + wavefront}
-    if not rowcol:
-        assert events == pivot
+    kind, start, end = events["kind"], events["start"], events["end"]
+    targets = list(zip(events["i"].tolist(), events["j"].tolist()))
+    pivot = np.flatnonzero(kind == EventKind.PIVOT_FW)
+    assert len(pivot) == 1 and targets[pivot[0]] == (k, k)
+    rowcol = kind == EventKind.ROW_COL_UPDATE
+    wavefront = kind == EventKind.REMAINING_UPDATE
+    broadcasts = {targets[e]: e for e in np.flatnonzero(kind == EventKind.BROADCAST)}
+    update_end = {targets[e]: end[e] for e in np.flatnonzero(rowcol | wavefront)}
+    if not rowcol.any():
+        assert len(events) == 1
         return
     fill = broadcasts.pop((k, k))
-    assert pivot[0].end_cycle <= fill.start_cycle
-    assert all(fill.end_cycle <= e.start_cycle for e in rowcol)
-    assert broadcasts.keys() == {e.target for e in rowcol}
+    assert end[pivot[0]] <= start[fill]
+    assert (end[fill] <= start[rowcol]).all()
+    assert broadcasts.keys() == {targets[e] for e in np.flatnonzero(rowcol)}
     for target, f in broadcasts.items():
-        assert update_end[target] <= f.start_cycle
-    published = max(e.end_cycle for e in rowcol + list(broadcasts.values()))
-    assert all(published <= e.start_cycle for e in wavefront)
-    for e in events:
-        if e.kind is EventKind.CPE_REDUCE:
-            assert update_end[e.target] <= e.start_cycle
+        assert update_end[target] <= start[f]
+    published = max(end[rowcol].max(), *(end[f] for f in broadcasts.values()))
+    assert (published <= start[wavefront]).all()
+    for e in np.flatnonzero(kind == EventKind.CPE_REDUCE):
+        assert update_end[targets[e]] <= start[e]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -73,34 +75,33 @@ def test_scheduler_invariants(run):
     n, b, m, cfg = run
     result = simulate(n, b, cfg, enforce_wavefront=False)
     events = timeline(n, b, cfg, enforce_wavefront=False)
+    kind, k, unit, start, end = (events[f] for f in ("kind", "k", "unit", "start", "end"))
+    assert (start <= end).all()
 
-    by_resource = defaultdict(list)
-    by_round = defaultdict(list)
-    for e in events:
-        assert e.start_cycle <= e.end_cycle
-        by_resource[e.resource].append(e)
-        by_round[e.k].append(e)
-    for same in by_resource.values():
-        same.sort(key=lambda e: (e.start_cycle, e.end_cycle))
-        for a, nxt in zip(same, same[1:]):
-            assert a.end_cycle <= nxt.start_cycle
+    # Exclusivity per resource (0 the TSV bus, 1 a channel's reducer, 2 a
+    # bank-group) and unit: sorted by start, each event ends before the next.
+    resource = np.select([kind == EventKind.BROADCAST, kind == EventKind.CPE_REDUCE], [0, 1], 2)
+    order = np.lexsort((end, start, unit, resource))
+    same = np.diff(resource[order]) == 0
+    same &= np.diff(unit[order]) == 0
+    assert (end[order][:-1][same] <= start[order][1:][same]).all()
 
-    rounds = sorted(by_round)
+    rounds = sorted(set(k.tolist()))
     assert rounds == ([-1] if cfg.pim.bulk_load_cycles else []) + list(range(m))
-    for k, nxt in zip(rounds, rounds[1:]):
-        assert (max(e.end_cycle for e in by_round[k])
-                <= min(e.start_cycle for e in by_round[nxt]))
-    for k in range(m):
-        check_dependency_order(k, by_round[k])
+    for r, nxt in zip(rounds, rounds[1:]):
+        assert end[k == r].max() <= start[k == nxt].min()
+    for r in range(m):
+        check_dependency_order(r, events[k == r])
 
-    total = OpCounts()
-    for e in events:
-        total = total + e.counts
+    # Each event counts its kind's quote plus its TSV bits.
+    per_kind = np.bincount(kind, minlength=len(EventKind))
+    total = OpCounts(tsv_bits=int(events["tsv_bits"].sum()))
+    for of_kind, quote in reference.kind_quotes(b, cfg).items():
+        total = total + quote.scaled(int(per_kind[of_kind]))
     assert result.counts == total
-    busy = [0] * cfg.total_bank_groups
-    for e in events:
-        if e.resource.startswith("bg:"):
-            busy[int(e.resource[3:])] += e.end_cycle - e.start_cycle
-    assert result.per_bank_group_busy == busy
-    assert result.total_cycles == max(e.end_cycle for e in events)
+    tile = resource == 2
+    busy = np.bincount(unit[tile], weights=end[tile] - start[tile],
+                       minlength=cfg.total_bank_groups)
+    assert result.per_bank_group_busy == busy.astype(np.int64).tolist()
+    assert result.total_cycles == end.max()
     assert result.counts.minplus_ops == (m * b) ** 3
