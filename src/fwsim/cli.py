@@ -71,10 +71,7 @@ def build_report(result: SimResult, cfg: HbmConfig, graph_path=None) -> dict:
             "total_time_seconds": result.total_time_seconds,
             "energy": result.energy.as_dict(),
             "energy_joules": result.energy.total_joules,
-            "energy_params_pj": {
-                f.name: getattr(cfg.energy, f.name)
-                for f in dataclasses.fields(cfg.energy)
-            },
+            "energy_params_pj": dataclasses.asdict(cfg.energy),
         },
     }
 
@@ -107,6 +104,8 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify needs --nodes")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     check_functional_size(n, b)
     failures = []
     for trial in range(args.trials):
@@ -192,15 +191,8 @@ def cmd_sweep(args) -> int:
     if args.format == "json":
         _write_text(args.out, _json_dumps({"sweep": rows}))
     else:
-        header = ("parameter,value,total_cycles,total_time_seconds,"
-                  "energy_total_fj,time_ratio_vs_first\n")
-        lines = [
-            f"{r['parameter']},{r['value']},{r['total_cycles']},"
-            f"{r['total_time_seconds']!r},{r['energy_total_fj']},"
-            f"{r['time_ratio_vs_first']!r}\n"
-            for r in rows
-        ]
-        _write_text(args.out, header + "".join(lines))
+        lines = [",".join(rows[0])] + [",".join(map(str, row.values())) for row in rows]
+        _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -275,12 +267,13 @@ def _add_workload_flags(p, verify=False):
     p.add_argument("--config", default="default",
                    help="config JSON path, or 'default'")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--relax-wavefront", action="store_true",
-                   help="allow 2M > bank-groups (oversubscribed staging)")
     if verify:
         p.add_argument("--density", type=float, default=0.5)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=int, default=10)
+    else:
+        p.add_argument("--relax-wavefront", action="store_true",
+                       help="allow 2M > bank-groups (oversubscribed staging)")
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -1,5 +1,5 @@
 """Simulated hardware description: HBM3 geometry, timing and energy constants,
-processing-element model knobs, and the interleaved tile-to-bank-group map.
+and processing-element model knobs. The scheduler maps tiles to bank-groups.
 
 Configs are immutable after validation and freely shareable. All durations are
 kept as integer picoseconds internally to avoid rounding drift; JSON config
@@ -115,10 +115,10 @@ def validate_config(cfg: HbmConfig, tiles_per_row: int) -> None:
     ConstraintViolation naming both quantities.
     """
     c = cfg
-    for name in ("channels", "bank_groups_per_channel", "banks_per_bank_group",
-                 "bpes_per_bank", "dq_bits", "clock_period_ps"):
-        if getattr(c, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(c, name)}")
+    for f in dataclasses.fields(c):
+        value = getattr(c, f.name)
+        if not dataclasses.is_dataclass(value) and value < 1:
+            raise ConfigError(f"{f.name} must be >= 1, got {value}")
     if c.total_bank_groups > MAX_BANK_GROUPS:
         raise ConfigError(f"channels * bank_groups_per_channel must be <= "
                           f"{MAX_BANK_GROUPS}, got {c.total_bank_groups}")
@@ -153,20 +153,15 @@ def validate_config(cfg: HbmConfig, tiles_per_row: int) -> None:
 
 # --- JSON config files -----------------------------------------------------
 
-_SECTIONS = ("timing", "energy", "pim")
-_TOP_KEYS = {f.name: f.name for f in dataclasses.fields(HbmConfig) if f.name not in _SECTIONS}
-_TIMING_KEYS = {f"{f.name}_ns": f.name for f in dataclasses.fields(TimingParams)}
-_ENERGY_KEYS = {f.name: f.name for f in dataclasses.fields(EnergyParams)}
-_PIM_KEYS = {f.name: f.name for f in dataclasses.fields(PimParams)}
+def _keys(cls) -> dict:
+    """JSON key -> field of a config record; timing keys carry their unit, ns."""
+    return {f.name + ("_ns" if cls is TimingParams else ""): f for f in dataclasses.fields(cls)}
 
 
 def config_to_dict(cfg: HbmConfig) -> dict:
     """Flat JSON-ready view of a config, units annotated in field names."""
-    out = {json_key: getattr(cfg, attr) for json_key, attr in _TOP_KEYS.items()}
-    out["timing"] = {k: getattr(cfg.timing, a) for k, a in _TIMING_KEYS.items()}
-    out["energy"] = {k: getattr(cfg.energy, a) for k, a in _ENERGY_KEYS.items()}
-    out["pim"] = {k: getattr(cfg.pim, a) for k, a in _PIM_KEYS.items()}
-    return out
+    out = {key: getattr(cfg, f.name) for key, f in _keys(type(cfg)).items()}
+    return {k: config_to_dict(v) if dataclasses.is_dataclass(v) else v for k, v in out.items()}
 
 
 # JSON value types each field type accepts. bool is an int in Python, so it is
@@ -174,26 +169,29 @@ def config_to_dict(cfg: HbmConfig) -> dict:
 _ACCEPTED = {"int": int, "float": (int, float), "bool": bool}
 
 
-def _typed(raw: dict, keymap: dict, cls, prefix: str = "") -> dict:
-    """Map JSON keys to field names, checking each value against its field's type."""
-    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in raw.items():
-        kind = kinds[keymap[key]]
-        if isinstance(value, bool) != (kind == "bool") or not isinstance(value, _ACCEPTED[kind]):
-            raise ConfigError(f"config key {prefix + key!r} must be {kind}, got {value!r}")
-        kwargs[keymap[key]] = value
-    return kwargs
-
-
-def _section(data: dict, name: str, keymap: dict, cls):
-    raw = data.get(name, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    unknown = set(raw) - set(keymap)
+def _from_dict(cls, data, section: str):
+    """A cls record from the JSON object under key section ('' for the whole
+    document). Fields whose default is a record recurse as sections; every
+    other value must be of its field's type."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config section {section!r} must be an object" if section
+                          else "config document must be a JSON object")
+    keys = _keys(cls)
+    unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"unknown {name} config keys: {sorted(unknown)}")
-    return cls(**_typed(raw, keymap, cls, f"{name}."))
+        where = f"{section} " if section else ""
+        raise ConfigError(f"unknown {where}config keys: {sorted(unknown)}")
+    kwargs = {}
+    for key in [key for key in keys if key in data]:
+        f, value = keys[key], data[key]
+        if dataclasses.is_dataclass(f.default_factory):
+            value = _from_dict(f.default_factory, value, key)
+        elif isinstance(value, bool) != (f.type == "bool") or not isinstance(
+                value, _ACCEPTED[f.type]):
+            name = f"{section}.{key}" if section else key
+            raise ConfigError(f"config key {name!r} must be {f.type}, got {value!r}")
+        kwargs[f.name] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> HbmConfig:
@@ -203,16 +201,7 @@ def config_from_dict(data: dict) -> HbmConfig:
     Missing keys fall back to the defaults, so calibration files only need to
     state the constants they override.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("config document must be a JSON object")
-    unknown = set(data) - set(_TOP_KEYS) - set(_SECTIONS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = _typed({k: v for k, v in data.items() if k in _TOP_KEYS}, _TOP_KEYS, HbmConfig)
-    kwargs["timing"] = _section(data, "timing", _TIMING_KEYS, TimingParams)
-    kwargs["energy"] = _section(data, "energy", _ENERGY_KEYS, EnergyParams)
-    kwargs["pim"] = _section(data, "pim", _PIM_KEYS, PimParams)
-    return HbmConfig(**kwargs)
+    return _from_dict(HbmConfig, data, "")
 
 
 def load_config(source: str) -> HbmConfig:

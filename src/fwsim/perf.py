@@ -16,8 +16,9 @@ row-passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from math import ceil, log2
+from operator import add
 
 from .errors import ConfigError
 from .hbm import EnergyParams, HbmConfig
@@ -36,26 +37,10 @@ class OpCounts:
     minplus_ops: int = 0
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.row_activations + other.row_activations,
-            self.bits_read + other.bits_read,
-            self.bits_written + other.bits_written,
-            self.bpe_cycles + other.bpe_cycles,
-            self.cpe_cycles + other.cpe_cycles,
-            self.tsv_bits + other.tsv_bits,
-            self.minplus_ops + other.minplus_ops,
-        )
+        return OpCounts(*map(add, astuple(self), astuple(other)))
 
     def scaled(self, times: int) -> "OpCounts":
-        return OpCounts(
-            self.row_activations * times,
-            self.bits_read * times,
-            self.bits_written * times,
-            self.bpe_cycles * times,
-            self.cpe_cycles * times,
-            self.tsv_bits * times,
-            self.minplus_ops * times,
-        )
+        return OpCounts(*(value * times for value in astuple(self)))
 
 
 @dataclass(frozen=True)
@@ -137,8 +122,7 @@ class EnergyBreakdown:
 
     @property
     def total_fj(self) -> int:
-        return (self.activation_fj + self.dram_rw_fj + self.bpe_fj
-                + self.cpe_fj + self.tsv_fj)
+        return sum(astuple(self))
 
     @property
     def total_joules(self) -> float:
@@ -148,14 +132,7 @@ class EnergyBreakdown:
             raise ConfigError("the energy in joules overflows a float") from None
 
     def as_dict(self) -> dict:
-        return {
-            "activation_fj": self.activation_fj,
-            "dram_rw_fj": self.dram_rw_fj,
-            "bpe_fj": self.bpe_fj,
-            "cpe_fj": self.cpe_fj,
-            "tsv_fj": self.tsv_fj,
-            "total_fj": self.total_fj,
-        }
+        return {**asdict(self), "total_fj": self.total_fj}
 
 
 def energy_of(counts: OpCounts, e: EnergyParams) -> EnergyBreakdown:

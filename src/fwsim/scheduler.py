@@ -72,6 +72,10 @@ from .perf import (
 # simulate_functional refuses matrices larger than this.
 FUNCTIONAL_GUARD = 4096
 
+# simulate and timeline refuse more tiles per row than this: their cost grows
+# as m^3, 0.26 s at m = 128 and 2.3 s at m = 256 on a 2-core Xeon.
+TIMING_GUARD = 1024
+
 # Pivot rounds are built in groups of at most this many tile updates or
 # destination bank-groups a round (at least one round): enough to amortize
 # numpy's per-call cost over several rounds, few enough to keep a group's
@@ -161,11 +165,10 @@ def _order(shape, pivot, broadcast, update, reduce) -> np.ndarray:
 
 
 def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
-         events: list[tuple] | None) -> SimResult:
+         keep_events: bool) -> tuple[SimResult, np.ndarray | None]:
     """Validate, charge the bulk load, then chain the pivot rounds, each
-    starting when the previous one's last event ends. With an events list,
-    each group of rounds appends EVENT's eight fields as columns, and the bulk
-    load and a lone pivot (m = 1) a one-row tuple each.
+    starting when the previous one's last event ends. With keep_events, each
+    group of rounds fills its slice of one preallocated EVENT array, field by field.
 
     Every tile update, the pivot's in-tile FW included, charges the
     tile_update_cost quote, and every other update one channel-PE reduction:
@@ -173,6 +176,9 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     the bulk load, the broadcast fills and the pivot-vector streams.
     """
     m = tiles_per_row(n, b)
+    if m > TIMING_GUARD:
+        raise GuardError(f"the timing model is guarded at m <= {TIMING_GUARD} tiles per row "
+                         f"(n={n} at b={b} gives m={m}); its cost grows as m^3")
     try:
         validate_config(cfg, m)
     except ConstraintViolation:
@@ -212,14 +218,18 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
                 cross * (b * vector_bits))
 
     start = cfg.pim.bulk_load_cycles
+    # A round's events: pivot, fill, 3 per row/column tile, 2 per wavefront tile.
+    per_round = 2 + 3 * rc + 2 * (m - 1) ** 2 if m > 1 else 1
+    events = np.empty((start > 0) + m * per_round, dtype=EVENT) if keep_events else None
+    at = int(start > 0)  # the events written
     if start > 0:
         tsv_bits = (m * b) * (m * b) * cfg.pim.operand_bits
         if events is not None:
-            events.append((EventKind.BROADCAST, -1, -1, -1, 0, 0, start, tsv_bits))
+            events[0] = (EventKind.BROADCAST, -1, -1, -1, 0, 0, start, tsv_bits)
     if m == 1:  # one round, its pivot tile alone; the groups below need updates
         busy[0] = update.cycles
         if events is not None:
-            events.append((EventKind.PIVOT_FW, 0, 0, 0, 0, start, start + update.cycles, 0))
+            events[at] = (EventKind.PIVOT_FW, 0, 0, 0, 0, start, start + update.cycles, 0)
         start += update.cycles
     group = max(1, _GROUP_UPDATES // max(m * m, width))
     for k0 in range(0, m if m > 1 else 0, group):
@@ -293,16 +303,18 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
             tiles = np.concatenate([k * m + others, others * m + k, inner], axis=1)
             kind = np.where(np.arange(shape[2]) < rc, EventKind.ROW_COL_UPDATE,
                             EventKind.REMAINING_UPDATE)
-            events.append((
-                _order(shape, EventKind.PIVOT_FW, EventKind.BROADCAST, kind, EventKind.CPE_REDUCE),
-                _order(shape, k, k, k, k),
-                *np.divmod(_order(shape, k * (m + 1), np.c_[k * (m + 1), tiles[:, :rc]], tiles,
-                                  tiles), m),
-                _order(shape, pivot_bg[:, None], 0, bgs, bgs // g),
-                _order(shape, s, s + bcast_ends - bcast, s + ends - cycles,
-                       s + cpe_ends - cpe.cycles),
-                _order(shape, s + update.cycles, s + bcast_ends, s + ends, s + cpe_ends),
-                _order(shape, 0, crossings * vector_bits, vec_bits, 0)))
+            rec = events[at:at + len(ks) * per_round]
+            at += len(rec)
+            rec["kind"] = _order(shape, EventKind.PIVOT_FW, EventKind.BROADCAST, kind,
+                                 EventKind.CPE_REDUCE)
+            rec["k"] = _order(shape, k, k, k, k)
+            rec["i"], rec["j"] = np.divmod(
+                _order(shape, k * (m + 1), np.c_[k * (m + 1), tiles[:, :rc]], tiles, tiles), m)
+            rec["unit"] = _order(shape, pivot_bg[:, None], 0, bgs, bgs // g)
+            rec["start"] = _order(shape, s, s + bcast_ends - bcast, s + ends - cycles,
+                                  s + cpe_ends - cpe.cycles)
+            rec["end"] = _order(shape, s + update.cycles, s + bcast_ends, s + ends, s + cpe_ends)
+            rec["tsv_bits"] = _order(shape, 0, crossings * vector_bits, vec_bits, 0)
 
     counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
               + OpCounts(tsv_bits=tsv_bits))
@@ -310,7 +322,7 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
                      total_time_ps=start * cfg.clock_period_ps,
                      bulk_load_cycles=cfg.pim.bulk_load_cycles, counts=counts,
                      energy=energy_of(counts, cfg.energy),
-                     per_bank_group_busy=busy.tolist())
+                     per_bank_group_busy=busy.tolist()), events
 
 
 def simulate(n: int, b: int, cfg: HbmConfig, *,
@@ -320,17 +332,14 @@ def simulate(n: int, b: int, cfg: HbmConfig, *,
     Purely analytic: runtime scales with the number of tiles, not n^3.
     Deterministic: identical inputs produce identical results.
     """
-    return _run(n, b, cfg, enforce_wavefront, None)
+    return _run(n, b, cfg, enforce_wavefront, False)[0]
 
 
 def timeline(n: int, b: int, cfg: HbmConfig, *,
              enforce_wavefront: bool = True) -> np.ndarray:
     """Every event of the run that simulate() totals, as one EVENT record
     array in emission order (see the module docstring)."""
-    events: list[tuple] = []
-    _run(n, b, cfg, enforce_wavefront, events)
-    return np.rec.fromarrays([np.hstack(field) for field in zip(*events)],
-                             dtype=EVENT).view(np.ndarray)
+    return _run(n, b, cfg, enforce_wavefront, True)[1]
 
 
 def check_functional_size(n: int, b: int) -> None:

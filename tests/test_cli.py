@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from fwsim import cli, scheduler
+from fwsim import cli, default_config, scheduler
 
 RUN = ["run", "--nodes", "64", "--block-size", "16"]
 SWEEP = ["sweep", "--nodes", "64", "--block-size", "16", "--param", "channels",
@@ -74,6 +74,8 @@ BAD_INPUTS = {
     "verify-density-2": VERIFY + ["--density", "2"],
     "verify-graph": VERIFY + ["--graph", "{tmp}/missing.txt"],
     "verify-undirected": VERIFY + ["--undirected"],
+    "verify-seed-negative": VERIFY + ["--seed", "-1"],
+    "verify-relax-wavefront": VERIFY + ["--relax-wavefront"],
     # The functional guard (padded n <= 4096) trips before the graph is built.
     "verify-nodes-4097": ["verify", "--nodes", "4097", "--block-size", "4097",
                           "--trials", "1", "--density", "0.0001"],
@@ -145,6 +147,23 @@ def test_verify_guards_the_padded_size(monkeypatch, capsys):
     assert "guarded" in err and "8190" in err
     assert "Traceback" not in err
     scheduler.check_functional_size(4096, 64)
+
+
+def test_run_checks_the_timing_guard_before_scheduling(monkeypatch, capsys):
+    """m = 100,000 tiles per row would build an m^2 bank-group map (74.5 GiB)
+    and then run m^3 tile updates. run refuses it before the first cost
+    quote; at m = TIMING_GUARD the guard passes."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tile_update_cost called past the timing guard")
+
+    monkeypatch.setattr(scheduler, "tile_update_cost", refuse)
+    code, _, err = invoke(["run", "--nodes", "100000", "--block-size", "1",
+                           "--relax-wavefront"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "guarded" in err and "m=100000" in err
+    assert "Traceback" not in err
+    with pytest.raises(AssertionError, match="past the timing guard"):
+        scheduler.simulate(scheduler.TIMING_GUARD, 1, default_config(), enforce_wavefront=False)
 
 
 def test_verify_mismatch_exits_1(monkeypatch, capsys):

@@ -146,10 +146,20 @@ class TestDefaultsAndValidation:
             validate_config(dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4 + 1), 1)
 
 
+def case(doc, message):
+    """A config document and its exact error message, named by the document."""
+    return pytest.param(doc, message, id=repr(doc))
+
+
 class TestConfigFiles:
     def test_round_trip(self):
-        cfg = default_config()
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        """The default config, and one with every settable value changed, so
+        that every JSON key (the _ns suffix and the bool included) maps back."""
+        changed = default_config()
+        for path in settable_fields():
+            changed = with_value(changed, path, ALTERNATIVES[path])
+        for cfg in (default_config(), changed):
+            assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_default_keyword(self):
         assert load_config("default") == default_config()
@@ -171,18 +181,22 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             config_from_dict({"channles": 8})
 
-    @pytest.mark.parametrize("doc", [
-        {"row_bits": 8192},
-        {"rows_per_bank": 32768},
-        {"stack_height": 4},
-        {"timing": {"t_rrd_ns": 2.0}},
-        {"timing": {"t_ccds_ns": 2.0}},
-        {"timing": {"t_ccdl_ns": 4.0}},
-        {"pim": {"cpe_reduce_per_tile": True}},
-    ], ids=repr)
-    def test_removed_keys_rejected(self, doc):
-        with pytest.raises(ConfigError, match="unknown"):
+    @pytest.mark.parametrize("doc, message", [
+        case({"row_bits": 8192}, "unknown config keys: ['row_bits']"),
+        case({"rows_per_bank": 32768}, "unknown config keys: ['rows_per_bank']"),
+        case({"stack_height": 4}, "unknown config keys: ['stack_height']"),
+        case({"timing": {"t_rrd_ns": 2.0}}, "unknown timing config keys: ['t_rrd_ns']"),
+        case({"timing": {"t_ccds_ns": 2.0}}, "unknown timing config keys: ['t_ccds_ns']"),
+        case({"timing": {"t_ccdl_ns": 4.0}}, "unknown timing config keys: ['t_ccdl_ns']"),
+        case({"pim": {"cpe_reduce_per_tile": True}},
+             "unknown pim config keys: ['cpe_reduce_per_tile']"),
+        case({"timing": {"t_rrd_ns": 2.0, "t_rc": 30.0}},
+             "unknown timing config keys: ['t_rc', 't_rrd_ns']"),
+    ])
+    def test_removed_keys_rejected(self, doc, message):
+        with pytest.raises(ConfigError) as exc:
             config_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_unknown_nested_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -192,19 +206,27 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             config_from_dict({"pim": {"passes": 2}})
 
-    @pytest.mark.parametrize("doc", [
-        {"channels": "8"},
-        {"channels": True},
-        {"channels": 8.0},
-        {"timing": {"t_rc_ns": "30"}},
-        {"timing": {"t_rc_ns": False}},
-        {"energy": {"e_activate_pj": None}},
-        {"pim": {"broadcast_overlap": "no"}},
-        {"pim": {"broadcast_overlap": 0}},
-    ], ids=repr)
-    def test_value_of_wrong_type_rejected(self, doc):
-        with pytest.raises(ConfigError, match="must be"):
+    @pytest.mark.parametrize("doc, message", [
+        case({"channels": "8"}, "config key 'channels' must be int, got '8'"),
+        case({"channels": True}, "config key 'channels' must be int, got True"),
+        case({"channels": 8.0}, "config key 'channels' must be int, got 8.0"),
+        case({"timing": {"t_rc_ns": "30"}}, "config key 'timing.t_rc_ns' must be float, got '30'"),
+        case({"timing": {"t_rc_ns": False}},
+             "config key 'timing.t_rc_ns' must be float, got False"),
+        case({"energy": {"e_activate_pj": None}},
+             "config key 'energy.e_activate_pj' must be float, got None"),
+        case({"pim": {"broadcast_overlap": "no"}},
+             "config key 'pim.broadcast_overlap' must be bool, got 'no'"),
+        case({"pim": {"broadcast_overlap": 0}},
+             "config key 'pim.broadcast_overlap' must be bool, got 0"),
+        case([], "config document must be a JSON object"),
+        case({"timing": 30}, "config section 'timing' must be an object"),
+        case({"pim": [], "channels": 8}, "config section 'pim' must be an object"),
+    ])
+    def test_value_of_wrong_type_rejected(self, doc, message):
+        with pytest.raises(ConfigError) as exc:
             config_from_dict(doc)
+        assert str(exc.value) == message
 
     def test_float_field_takes_int(self):
         cfg = config_from_dict({"timing": {"t_rc_ns": 31}, "energy": {"e_tsv_bit_pj": 1}})
