@@ -16,6 +16,9 @@ from .errors import ConfigError, ParseError
 INF = 0xFFFF_FFFF
 """Sentinel for "no path": the maximum representable 32-bit unsigned value."""
 
+# Random draws per block of rows in gen_synthetic: 256 KiB of float64.
+_DRAWS = 32_768
+
 
 @dataclass(frozen=True, eq=False)
 class EdgeList:
@@ -126,13 +129,23 @@ def gen_synthetic(n: int, density: float, weight_range=(1, 100), seed: int = 0) 
     if n < 0:
         raise ConfigError("n must be non-negative")
 
+    # The n x n mask, then the n x n int64 weights, drawn in blocks of rows:
+    # PCG64's random and integers streams split at any block boundary, so
+    # this is the stream of the two whole-matrix draws without holding them.
     rng = np.random.default_rng(seed)
-    mask = rng.random((n, n)) < density
-    np.fill_diagonal(mask, False)
-    weights = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64).astype(np.uint32)
-    src, dst = np.nonzero(mask)
-    edges = np.column_stack([src, dst, weights[mask]]).astype(np.uint32)
-    return EdgeList(num_vertices=n, edges=edges)
+    rows = max(1, _DRAWS // max(n, 1))
+    blocks = [(r, min(r + rows, n)) for r in range(0, n, rows)]
+    cells = []
+    for a, z in blocks:
+        src, dst = np.nonzero(rng.random((z - a, n)) < density)
+        src += a
+        keep = src != dst
+        cells.append((src[keep], dst[keep]))
+    edges = [np.empty((0, 3), np.int64)]
+    for (a, z), (src, dst) in zip(blocks, cells):
+        weights = rng.integers(lo, hi + 1, size=(z - a, n), dtype=np.int64)
+        edges.append(np.column_stack([src, dst, weights[src - a, dst]]))
+    return EdgeList(num_vertices=n, edges=np.concatenate(edges).astype(np.uint32))
 
 
 def build_distance_matrix(e: EdgeList) -> np.ndarray:

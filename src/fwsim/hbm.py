@@ -1,9 +1,11 @@
 """Simulated hardware description: HBM3 geometry, timing and energy constants,
 and processing-element model knobs. The scheduler maps tiles to bank-groups.
 
-Configs are immutable after validation and freely shareable. All durations are
-kept as integer picoseconds internally to avoid rounding drift; JSON config
-files annotate units in the field names (t_rc_ns, clock_period_ps, ...).
+Configs are immutable after validation and freely shareable. Durations are
+float nanoseconds (TimingParams) and the logic clock integer picoseconds;
+HbmConfig.cycles_from_ns rounds a duration to whole picoseconds at each use,
+then up to whole cycles. JSON config files annotate units in the field names
+(t_rc_ns, clock_period_ps, ...).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ row-passes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 from math import ceil, log2
 from operator import add
 
@@ -26,7 +26,8 @@ from .hbm import EnergyParams, HbmConfig
 
 @dataclass(frozen=True)
 class OpCounts:
-    """Additive event counters used for energy accounting and invariants."""
+    """Additive event counters used for energy accounting and invariants.
+    vars() holds the fields in declaration order, without astuple's copies."""
 
     row_activations: int = 0
     bits_read: int = 0
@@ -37,10 +38,10 @@ class OpCounts:
     minplus_ops: int = 0
 
     def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(*map(add, astuple(self), astuple(other)))
+        return OpCounts(*map(add, vars(self).values(), vars(other).values()))
 
     def scaled(self, times: int) -> "OpCounts":
-        return OpCounts(*(value * times for value in astuple(self)))
+        return OpCounts(*(value * times for value in vars(self).values()))
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ class EnergyBreakdown:
 
     @property
     def total_fj(self) -> int:
-        return sum(astuple(self))
+        return sum(vars(self).values())
 
     @property
     def total_joules(self) -> float:
@@ -132,7 +133,7 @@ class EnergyBreakdown:
             raise ConfigError("the energy in joules overflows a float") from None
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "total_fj": self.total_fj}
+        return {**vars(self), "total_fj": self.total_fj}
 
 
 def energy_of(counts: OpCounts, e: EnergyParams) -> EnergyBreakdown:

@@ -462,28 +462,29 @@ def naive_blocked(t):
     return tiles
 
 
-Step = namedtuple("Step", "n h live rows")
+Step = namedtuple("Step", "n lo h live pairs relaxed")
 
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Record a Step for each fw._relax call: the matrix order n, the pivot
-    width h, the live rows (outside the pivot rows, with a pivot entry below
-    the working cap) before the call, and the rows that fw._minplus relaxed
-    during it. Also count every (row, step) pair that fw._minplus relaxes."""
-    log = SimpleNamespace(steps=[], rows=0, relaxed=0)
+    """Record a Step for each fw._relax call: the matrix order n, the first
+    pivot lo, the pivot width h, the live rows (outside the pivot rows, with a
+    pivot entry below the working cap) and the live (row, pivot) pairs before
+    the call, and the (row, step) pairs that fw._minplus relaxed during it.
+    Also count every (row, step) pair that fw._minplus relaxes."""
+    log = SimpleNamespace(steps=[], relaxed=0)
     relax, minplus = fw._relax, fw._minplus
 
     def spied_relax(d, lo, hi, right):
         cap = fw._CAPS[d.dtype.type]
         outside = np.r_[0:lo, hi:len(d)]
-        live = int((d[outside, lo:hi] < cap).any(axis=1).sum())
-        before = log.rows
+        live = d[outside, lo:hi] < cap
+        before = log.relaxed
         relax(d, lo, hi, right)
-        log.steps.append(Step(len(d), hi - lo, live, log.rows - before))
+        log.steps.append(Step(len(d), lo, hi - lo, int(live.any(axis=1).sum()),
+                              int(live.sum()), log.relaxed - before))
 
     def spied_minplus(out, left, right):
-        log.rows += out.shape[-2]
         log.relaxed += out.shape[-2] * left.shape[-1]
         minplus(out, left, right)
 
@@ -492,17 +493,29 @@ def spy(monkeypatch):
     return log
 
 
-def swept(step):
-    """Whether a _relax call swept contiguous bands rather than gathering its
-    live rows, after checking it did one of the two by the per-step rule:
-    while live * (h + 1) < h * (n - h) it relaxes exactly the live rows;
-    otherwise every row outside the pivot rows, and the pivot row too at
-    h = 1."""
-    if step.live * (step.h + 1) < step.h * (step.n - step.h):
-        assert step.rows == step.live, step
-        return False
-    assert step.rows == (step.n if step.h == 1 else step.n - step.h), step
-    return True
+def relaxed_by(step, path):
+    """The (row, step) pairs one _relax call relaxes on a path: "bands" the
+    n - h rows outside the pivot, and the pivot row too at h = 1, over h
+    steps; "rows" the live rows over h steps; "columns" each live pair once
+    (at h = 1, the live rows)."""
+    n, h = step.n, step.h
+    return {"bands": (n if h == 1 else n - h) * h, "rows": step.live * h,
+            "columns": step.pairs}[path]
+
+
+def taken(step):
+    """The path a _relax call took, after checking that it is the one the
+    rule picks and relaxed what that path relaxes. The rule costs each path
+    in entries: "bands", contiguous bands of the rows outside the pivot,
+    h (n - h) n; "rows", the live rows gathered, (h + 1) live n; "columns",
+    per pivot column the rows live there gathered, 2 pairs n + h fw._CALL.
+    The cheapest wins, ties in that order."""
+    n, h = step.n, step.h
+    costs = {"bands": h * (n - h) * n, "rows": (h + 1) * step.live * n,
+             "columns": 2 * step.pairs * n + h * fw._CALL}
+    path = min(costs, key=costs.get)
+    assert step.relaxed == relaxed_by(step, path), (step, path)
+    return path
 
 
 class TestBlocked:
@@ -577,22 +590,24 @@ class TestBlocked:
     # Both pad to 40 rows at b=4 (m=10) and run in uint16, and the 36 rows
     # outside the pivot rows go in bands of chunk // 40 rows, chunk counted in
     # uint16 entries: 1 gives 1-row bands, 576 gives 14-row bands and 36 * 40
-    # one band. At density 0.05 rounds 0-6 gather their live rows, up to 27 of
-    # the 36, so at 576 several take a 14-row band and a ragged one; rounds 7-9
-    # sweep contiguous bands, ragged at k=8 (14 + 14 + 4 rows above the pivot),
-    # except that at n = 37 round 8 finds 28 rows live, under the gather's
-    # bound, and gathers again. At density 0.5 every round sweeps, ragged on
-    # both sides at k=4 (14 + 2 above, 14 + 6 below).
+    # one band. At n = 40 four per-column gathers cost more than sweeping
+    # every row (4 * fw._CALL > 4 * 36 * 40), so each round gathers its live
+    # rows or sweeps bands. At density 0.05 rounds 0-6 gather their live rows,
+    # up to 27 of the 36, so at 576 several take a 14-row band and a ragged
+    # one; rounds 7-9 sweep contiguous bands, ragged at k=8 (14 + 14 + 4 rows
+    # above the pivot), except that at n = 37 round 8 finds 28 rows live,
+    # under the gather's cost, and gathers again. At density 0.5 every round
+    # sweeps, ragged on both sides at k=4 (14 + 2 above, 14 + 6 below).
     @pytest.mark.parametrize("chunk", [1, 576, 36 * 40])
     def test_multi_chunk_wavefront(self, monkeypatch, spy, n, chunk):
         monkeypatch.setattr(fw, "_CHUNK_BYTES", 2 * chunk)
-        late = {40: [True, True, True], 37: [True, False, True]}[n]
-        for density, sweeps in ((0.05, [False] * 7 + late), (0.5, [True] * 10)):
+        late = {40: ["bands"] * 3, 37: ["bands", "rows", "bands"]}[n]
+        for density, paths in ((0.05, ["rows"] * 7 + late), (0.5, ["bands"] * 10)):
             d = build_distance_matrix(gen_synthetic(n, density, seed=22))
             spy.steps.clear()
             out = fw_blocked(to_tile_major(d, 4))
             assert out.m == 10
-            assert [swept(step) for step in spy.steps] == sweeps
+            assert [taken(step) for step in spy.steps] == paths
             assert np.array_equal(from_tile_major(out, n), fw_reference(d))
 
     def test_blocked_idempotent_under_re_run(self):
@@ -656,11 +671,22 @@ class TestFold:
             assert widths[0] == [np.uint64 if largest == "INF-1" else np.uint32]
 
 
+def kept_pivots(d):
+    """fw_reference's pivots, restated: the vertices with an off-diagonal
+    finite entry in both their column (in) and their row (out), in ascending
+    in * out order, ties by index."""
+    finite = d != INF
+    np.fill_diagonal(finite, False)
+    score = finite.sum(axis=0) * finite.sum(axis=1)
+    return sorted(np.flatnonzero(score).tolist(), key=lambda k: score[k])
+
+
 class TestLiveRows:
-    """Both kernels skip the rows whose pivot entries all sit at the working
-    cap (2^15 - 1 in uint16, 2^31 - 1 in uint32, INF in uint64). At every step
-    or round they gather the live rows while that is cheaper than contiguous
-    bands, and sweep the bands otherwise."""
+    """Both kernels skip the (row, pivot) pairs whose pivot entry sits at the
+    working cap (2^15 - 1 in uint16, 2^31 - 1 in uint32, INF in uint64), and
+    fw_reference the pivots that have no in- or no out-entry. At every step
+    or round _relax sweeps contiguous bands, gathers the live rows, or gathers
+    per pivot column the rows live there, whichever costs least."""
 
     # Edge weights that run a 40-vertex graph at each width.
     WEIGHTS = {"uint16": (1, 100), "uint32": (40_000, 50_000),
@@ -680,14 +706,15 @@ class TestLiveRows:
             spy.steps.clear()
             assert np.array_equal(fw_reference(d), scalar_fw(d))
             assert widths[-1] == [getattr(np, width)]
-            sweeps = [swept(step) for step in spy.steps]
-            assert len(sweeps) == 40 and not sweeps[0] and any(sweeps)
+            assert [step.lo for step in spy.steps] == kept_pivots(d)
+            paths = [taken(step) for step in spy.steps]
+            assert paths[0] == "rows" and "bands" in paths
             t = to_tile_major(d, 4)
             want = naive_blocked(t)
             spy.steps.clear()
             assert np.array_equal(fw_blocked(t).tiles, want)
-            sweeps = [swept(step) for step in spy.steps]
-            assert len(sweeps) == 10 and not sweeps[0] and any(sweeps)
+            paths = [taken(step) for step in spy.steps]
+            assert len(paths) == 10 and paths[0] == "rows" and "bands" in paths
 
     def test_uint64_entries_past_the_narrow_cap_are_live(self, spy, widths):
         # Finite pivot entries in [2^31 - 1, INF - 1] make uint64 rows live:
@@ -701,11 +728,13 @@ class TestLiveRows:
         spy.steps.clear()
         assert np.array_equal(fw_reference(d), want)
         assert widths[-1] == [np.uint64]
+        # Vertices 1 and 6 have in- and out-entries: 6 -> 1 and 1 -> 2.
+        assert [step.lo for step in spy.steps] == [6, 1]
         for b in (1, 2, 3):
             out = fw_blocked(to_tile_major(d, b))
             assert np.array_equal(out.tiles, naive[b])
             assert np.array_equal(from_tile_major(out, 8), want)
-        assert not any(swept(step) for step in spy.steps)
+        assert "bands" not in [taken(step) for step in spy.steps]
 
     @pytest.mark.parametrize("width", WEIGHTS)
     @pytest.mark.parametrize("graph, n", [
@@ -721,45 +750,79 @@ class TestLiveRows:
             d[[0, 1, 2], [1, 2, 0]] = 100
         assert np.array_equal(fw_reference(d), scalar_fw(d))
         assert widths == [[getattr(np, width) if n else np.uint16]]
-        # A step has no row outside its pivot when n = 1: it sweeps row 0.
-        assert [swept(step) for step in spy.steps] == [n < 2] * n
+        # Only the 3-cycle's vertices are pivots, each gathering its one live row.
+        pivots = [0, 1, 2] if graph == "isolated" else []
+        assert [step.lo for step in spy.steps] == pivots
+        assert [taken(step) for step in spy.steps] == ["rows"] * len(pivots)
         for b in (1, 3):
             t = to_tile_major(d, b)
             want = naive_blocked(t)
             spy.steps.clear()
             assert np.array_equal(fw_blocked(t).tiles, want)
             assert len(spy.steps) == (t.m if t.m > 1 else 0)
-            assert not any(swept(step) for step in spy.steps)
+            assert "bands" not in [taken(step) for step in spy.steps]
+
+    @pytest.mark.parametrize("diagonal", [0, 5, INF], ids=["zero", "positive", "INF"])
+    def test_dead_pivots_are_skipped(self, spy, widths, diagonal):
+        # The 3-cycle 0 -> 1 -> 2 -> 0 with in * out of 2, 4 and 2. Vertex 3
+        # feeds it and has no in-entry, 4 drains it and has no out-entry, 5 is
+        # isolated, and 6 -> 7 has neither: their steps cannot change a
+        # distance, whatever the diagonal, so fw_reference runs none of them.
+        d = path_graph(8, INF)
+        np.fill_diagonal(d, diagonal)
+        src, dst = [0, 1, 2, 3, 3, 2, 1, 6], [1, 2, 0, 0, 1, 4, 4, 7]
+        d[src, dst] = [3, 4, 5, 1, 2, 6, 1, 2]
+        want = scalar_fw(d)
+        assert want[3, 4] == 3 and want[6, 7] == 2
+        assert np.array_equal(fw_reference(d), want)
+        assert widths == [[np.uint16]]
+        assert [step.lo for step in spy.steps] == kept_pivots(d) == [0, 2, 1]
+        for b in (1, 3):
+            t = to_tile_major(d, b)
+            assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
 
     def test_relaxed_row_count(self, spy):
-        # Steps 0-280 gather; from step 281 on, 168 steps sweep all 512 rows
-        # and 63 gather again, for 91,199 relaxed (row, step) pairs of the
-        # dense 512^2 = 262,144.
+        # fw_reference skips 76 of the 512 pivots. Its first 352 steps gather
+        # their live rows; of the last 84, 75 sweep all 512 rows. That is
+        # 44,656 relaxed (row, step) pairs of the dense 512^2 = 262,144, and
+        # 91,199 with the pivots in index order.
         d = build_distance_matrix(gen_synthetic(512, 0.005, seed=1))
         fw_reference(d)
-        sweeps = [swept(step) for step in spy.steps]
-        assert sweeps.index(True) == 281 and sum(sweeps) == 168
-        assert spy.relaxed == sum(step.rows for step in spy.steps) == 91_199
+        paths = [taken(step) for step in spy.steps]
+        assert len(paths) == 436 and paths.index("bands") == 352
+        assert paths.count("bands") == 75
+        assert spy.relaxed == sum(step.relaxed for step in spy.steps) == 44_656
+        # fw_blocked's 8 pivot-row passes relax 64 rows over 64 steps each.
+        # Rounds 0-4 gather per pivot column, rounds 5-7 their live rows.
+        spy.steps.clear()
+        spy.relaxed = 0
+        fw_blocked(to_tile_major(d, 64))
+        assert [taken(step) for step in spy.steps] == ["columns"] * 5 + ["rows"] * 3
+        assert sum(step.relaxed for step in spy.steps) == 77_070
+        assert spy.relaxed == 8 * 64 * 64 + 77_070 == 109_838
 
     def test_dense_input_sweeps_every_round(self, spy):
         d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
         fw_blocked(to_tile_major(d, 64))
-        assert [swept(step) for step in spy.steps] == [True] * 8
-        # Step 0 finds 247 of the 511 rows live, under the half that a
-        # gather may cost at h = 1, so fw_reference gathers them; each of
-        # the 511 other steps sweeps all 512 rows.
+        assert [taken(step) for step in spy.steps] == ["bands"] * 8
+        # fw_reference's first pivot, the vertex of least in * out, finds 236
+        # of the 511 rows live, under the half that a gather may cost at
+        # h = 1, so it gathers them, and so does its third; each of the 510
+        # other steps sweeps all 512 rows.
         spy.steps.clear()
         spy.relaxed = 0
         fw_reference(d)
-        assert [swept(step) for step in spy.steps] == [False] + [True] * 511
-        assert spy.steps[0].live == 247
-        assert spy.relaxed == 247 + 511 * 512
+        paths = [taken(step) for step in spy.steps]
+        assert paths == ["rows", "bands", "rows"] + ["bands"] * 509
+        assert spy.steps[0].live == 236
+        assert spy.relaxed == 236 + spy.steps[2].live + 510 * 512
 
     @pytest.mark.parametrize("width", WEIGHTS)
     def test_steps_into_vertices_without_in_edges_relax_nothing(self, spy, widths, width):
         # Every vertex has edges to all of the first half; no vertex of the
-        # second half has an in-edge. Step 0 sweeps, and from step n / 2 on
-        # no row is live: a one-way switch to dense would sweep those too.
+        # second half has an in-edge. fw_reference runs only the first half's
+        # steps, in index order (in * out is 39 * 19 for each), and its first
+        # step sweeps. In fw_blocked, from round m / 2 on, no row is live.
         n = 40
         rng = np.random.default_rng(n)
         d = rng.integers(*self.WEIGHTS[width], size=(n, n), dtype=np.uint64)
@@ -768,15 +831,45 @@ class TestLiveRows:
         np.fill_diagonal(d, 0)
         assert np.array_equal(fw_reference(d), scalar_fw(d))
         assert widths[-1] == [getattr(np, width)]
-        assert swept(spy.steps[0])
-        assert [step.rows for step in spy.steps[n // 2:]] == [0] * (n // 2)
+        assert [step.lo for step in spy.steps] == list(range(n // 2))
+        assert taken(spy.steps[0]) == "bands"
         for b in (1, 4):
             t = to_tile_major(d, b)
             want = naive_blocked(t)
             spy.steps.clear()
             assert np.array_equal(fw_blocked(t).tiles, want)
-            assert swept(spy.steps[0])
-            assert [step.rows for step in spy.steps[t.m // 2:]] == [0] * (t.m // 2)
+            assert taken(spy.steps[0]) == "bands"
+            assert [step.relaxed for step in spy.steps[t.m // 2:]] == [0] * (t.m // 2)
+
+
+class TestPaths:
+    """Each of _relax's paths, forced through fw._path at every call, gives
+    the same distances: at every width, with a zero, a positive or an INF
+    diagonal, against scalar_fw and naive_blocked (both computed unforced)."""
+
+    @pytest.mark.parametrize("width", TestLiveRows.WEIGHTS)
+    @pytest.mark.parametrize("diagonal", ["zero", "positive", "INF"])
+    def test_forced_paths_agree(self, monkeypatch, spy, widths, width, diagonal):
+        lo, hi = TestLiveRows.WEIGHTS[width]
+        d = build_distance_matrix(gen_synthetic(24, 0.12, weight_range=(lo, hi), seed=24))
+        # Vertex 0 becomes a source and vertex 9 a sink: fw_reference skips
+        # their steps, which the forced paths must not need either.
+        d[:, 0], d[0, 5:9] = INF, lo
+        d[9, :], d[1:4, 9] = INF, hi
+        np.fill_diagonal(d, {"zero": 0, "positive": lo, "INF": INF}[diagonal])
+        assert 0 not in kept_pivots(d) and 9 not in kept_pivots(d)
+        want = scalar_fw(d)
+        naive = {b: naive_blocked(to_tile_major(d, b)) for b in (1, 3, 5, 24)}
+        for path in ("bands", "rows", "columns"):
+            monkeypatch.setattr(fw, "_path", lambda n, h, live, pairs: path)
+            widths.clear()
+            spy.steps.clear()
+            assert np.array_equal(fw_reference(d), want), path
+            assert [step.lo for step in spy.steps] == kept_pivots(d)
+            for b, tiles in naive.items():
+                assert np.array_equal(fw_blocked(to_tile_major(d, b)).tiles, tiles), (path, b)
+            assert widths == [[getattr(np, width)]] * 5
+            assert all(step.relaxed == relaxed_by(step, path) for step in spy.steps)
 
 
 @st.composite

@@ -14,6 +14,7 @@ from fwsim import (
     parse_edge_list,
     to_tile_major,
 )
+from fwsim import graphs
 from fwsim.errors import ConfigError, ParseError
 
 
@@ -137,6 +138,39 @@ class TestGenSynthetic:
         e = gen_synthetic(40, 0.8, weight_range=(5, 9), seed=0)
         w = e.edges[:, 2]
         assert w.min() >= 5 and w.max() <= 9
+
+    @staticmethod
+    def whole_matrix_draw(n, density, weight_range, seed):
+        """gen_synthetic as one n x n mask draw and one n x n weight draw."""
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        np.fill_diagonal(mask, False)
+        lo, hi = weight_range
+        weights = rng.integers(lo, hi + 1, size=(n, n), dtype=np.int64).astype(np.uint32)
+        src, dst = np.nonzero(mask)
+        return np.column_stack([src, dst, weights[mask]]).astype(np.uint32)
+
+    # Blocks take draws // n rows: 1 row at n = 37 (37 blocks); 2 rows at
+    # n = 37, the last block a single ragged row, and at n = 50; one block at
+    # n = 1 and 2, none at n = 0; and by default 109 rows at n = 300, the
+    # last block of 82.
+    @pytest.mark.parametrize("n, draws", [
+        (0, 1), (1, 1), (2, 4), (37, 1), (37, 74), (50, 100), (300, None),
+    ])
+    @pytest.mark.parametrize("density, weight_range", [
+        (1.0, (1, 100)), (0.3, (2**31, INF - 1)), (0.02, (5, 5)),
+    ])
+    def test_blocks_draw_the_whole_matrix_stream(self, monkeypatch, n, draws,
+                                                 density, weight_range):
+        if draws is not None:
+            monkeypatch.setattr(graphs, "_DRAWS", draws)
+        for seed in (0, 7):
+            e = gen_synthetic(n, density, weight_range=weight_range, seed=seed)
+            want = self.whole_matrix_draw(n, density, weight_range, seed)
+            assert e.edges.dtype == np.uint32
+            assert np.array_equal(e.edges, want)
+            if density == 1.0:
+                assert e.num_edges == n * (n - 1)
 
     def test_invalid_density(self):
         with pytest.raises(ConfigError):
