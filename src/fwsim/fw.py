@@ -10,8 +10,8 @@ too; else it reruns one width up. uint64, capped at INF, is always kept. A
 finite distance or cycle at the cap fails the check: a prefix of its shortest
 path or cycle is a shortest distance, exact in [cap - w, cap). Both kernels
 relax their row-major working copy through one row sweep, _relax, which
-skips the (row, pivot) pairs at the cap. fw_reference visits pivots in a
-fill-reducing order, fw_blocked tile by tile; any order gives one closure.
+skips the (row, pivot) pairs at the cap, in the fill-reducing _pivot_order:
+fw_reference by batches, fw_blocked by rounds; any order gives one closure.
 """
 
 from __future__ import annotations
@@ -31,17 +31,18 @@ _CALL = 32_768
 
 
 def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
-    """uint32 n x n result of loop(work), which closes a C-ordered n x n
-    working copy of d (n^2 entries) in place, at the narrowest exact width."""
+    """uint32 n x n result of loop(work, spare), which closes a C-ordered n x n
+    working copy of d (n^2 entries) in place, at the narrowest exact width;
+    spare is an idle n x n array of work's dtype, or None."""
     w = int(np.max(d, where=d != INF, initial=0))
     for dtype, cap in _CAPS.items():
         if w * n.bit_length() < cap or cap == INF:
             # A uint16 working copy is the back half of the uint32 result's
-            # memory. Clamped in d's width, entries narrow on the write.
+            # memory, the front half spare. Clamped in d's width, entries narrow.
             out = np.empty(n * n, np.promote_types(dtype, np.uint32))
             work = out.view(dtype)[-n * n:].reshape(n, n)
             np.minimum(d, cap, out=work.reshape(d.shape), casting="unsafe")
-            loop(work)
+            loop(work, out.view(dtype)[:n * n].reshape(n, n) if dtype is np.uint16 else None)
             if cap == INF or int(np.max(work, where=work < cap, initial=0)) + w < cap:
                 break
             del out, work  # before the next width's buffer
@@ -76,102 +77,124 @@ def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
         np.minimum(out, tmp, out=out)
 
 
-def _gather(d: np.ndarray, rows: np.ndarray, pivots: slice, right: np.ndarray,
-            band: int) -> None:
-    """_minplus(d[rows], d[rows][:, pivots], right), the rows gathered and
-    scattered back band rows at a time."""
-    for r in range(0, len(rows), band):
-        idx = rows[r:r + band]
-        block = d[idx]
-        _minplus(block, block[:, pivots], right)
-        d[idx] = block
-
-
-def _path(n: int, h: int, live: int, pairs: int) -> str:
+def _path(n: int, h: int, live: int, pairs: int, ranks: int) -> str:
     """_relax's cheapest path, in entries touched: h steps on the n - h rows;
     h steps on the live rows plus one for the gather and scatter; or, per
-    pivot column, a step and a gather and scatter per live pair, plus _CALL."""
+    rank (the most live pairs in a row), _CALL, and per live pair a step, a
+    gather of its pivot row and a gather and scatter of its row."""
     bands, rows = h * (n - h) * n, (h + 1) * live * n
-    columns = 2 * pairs * n + h * _CALL
-    if bands <= min(rows, columns):
+    pairwise = 3 * pairs * n + ranks * _CALL
+    if bands <= min(rows, pairwise):
         return "bands"
-    return "rows" if rows <= columns else "columns"
+    return "rows" if rows <= pairwise else "pairs"
 
 
-def _relax(d: np.ndarray, lo: int, hi: int, right: np.ndarray) -> None:
-    """FW steps lo..hi - 1 on the rows outside lo:hi against the h = hi - lo
-    pivot rows right, closed over their own steps (right[t] <= right[t, lo +
-    u] + right[u]; at h = 1 any row is): for t ascending, d[i] = min(d[i],
-    d[i, lo + t] + right[t]).
+def _relax(d: np.ndarray, pivots, right: np.ndarray) -> None:
+    """FW steps over the h pivots p (a slice or an index array) on the rows
+    outside them, against the h pivot rows right, closed over their own
+    steps (right[t] <= right[t, p[u]] + right[u]; at h = 1 any row is): for t
+    ascending, d[i] = min(d[i], d[i, p[t]] + right[t]).
 
     A pair (i, t) at the cap when the call starts adds sums >= the cap; if
-    step u < t lowers it, step t adds d[i, lo + u] + right[u, lo + t] +
-    right[t] >= d[i, lo + u] + right[u], which step u added. So _path picks,
-    from the live counts, one of three exact paths: contiguous bands of
-    every row (the pivot row too at h = 1, a fixed point of its own step),
-    the live rows gathered, or per t the rows live at t gathered, which at
-    h = 1 is the same. Holds the (n, h) bool mask of live pairs (and its
-    transpose per t), up to n row indices, and a band or gathered block
-    of _CHUNK_BYTES (at least a row) with _minplus's scratch of its size.
+    step u lowers it, step t adds d[i, p[u]] + right[u, p[t]] + right[t] >=
+    d[i, p[u]] + right[u], which step u added. So only the pairs live at the
+    start count, in any order, and _path picks, from the live counts, one of
+    three exact paths: contiguous bands of every row (not the pivot rows of
+    a slice of h > 1; a closed row is a fixed point of the steps), the live
+    rows gathered, or one pass per rank r over the live rows' r-th pairs,
+    which at h = 1 is the same. Holds the (n, h) bool mask of live pairs,
+    their indices, and a band or gathered block of _CHUNK_BYTES (at least a
+    row) with _minplus's scratch of its size and, per pass, its pivot rows.
     """
-    n, h = d.shape[0], hi - lo
-    cap = _CAPS[d.dtype.type]
+    n, h = d.shape[0], len(right)
     band = max(1, _CHUNK_BYTES // (n * d.itemsize))
-    mask = d[:, lo:hi] < cap
-    mask[lo:hi] = False
-    live = np.flatnonzero(mask if h == 1 else mask.any(axis=1))
-    pairs = len(live) if h == 1 else np.count_nonzero(mask)
-    path = _path(n, h, len(live), pairs)
+    split = isinstance(pivots, slice)
+    mask = (d[:, pivots] if split else np.take(d, pivots, axis=1)) < _CAPS[d.dtype.type]
+    mask[pivots] = False
+    count = mask[:, 0] if h == 1 else mask.view(np.uint8).sum(axis=1, dtype=np.int32)
+    live = np.flatnonzero(count)
+    pairs, ranks = (len(live), 1) if h == 1 else (int(count.sum()), int(count.max()))
+    path = _path(n, h, len(live), pairs, ranks)
     if path == "bands":
-        for start, stop in ((0, n),) if h == 1 else ((0, lo), (hi, n)):
+        for start, stop in ((0, pivots.start), (pivots.stop, n)) if split and h > 1 else ((0, n),):
             for r in range(start, stop, band):
                 block = d[r:min(r + band, stop)]
-                _minplus(block, block[:, lo:hi], right)
+                _minplus(block, block[:, pivots], right)
     elif path == "rows" or h == 1:
-        _gather(d, live, slice(lo, hi), right, band)
+        for r in range(0, len(live), band):
+            block = d[live[r:r + band]]
+            _minplus(block, block[:, pivots], right)
+            d[live[r:r + band]] = block
     else:
-        for t, at in enumerate(np.ascontiguousarray(mask.T)):
-            _gather(d, np.flatnonzero(at), slice(lo + t, lo + t + 1), right[t:t + 1], band)
+        # Live row q's pairs, t ascending, are ts[first[q]:first[q] + count[q]].
+        count = count[live]
+        first, ts = np.cumsum(count) - count, np.flatnonzero(mask[live]) % h
+        cols = np.arange(n)[pivots]
+        for r in range(ranks):
+            at = np.flatnonzero(count > r)
+            for s in range(0, len(at), band):
+                rows, t = live[at[s:s + band]], ts[first[at[s:s + band]] + r]
+                block = d[rows]
+                _minplus(block[:, None], d[rows, cols[t]][:, None, None], right[t][:, None])
+                d[rows] = block
 
 
-def _pivot_order(d: np.ndarray) -> list:
-    """fw_reference's pivots in ascending in * out order (stable), in and out
-    a vertex's finite off-diagonal entries in its column and row: as in
-    sparse elimination, such a pivot makes little fill, so later steps find
-    fewer live rows. A vertex with in or out 0 is left out: that column (or
-    row) stays at the cap off the diagonal, so its step changes nothing.
-    Counted in bands of _CHUNK_BYTES, with no n x n mask."""
-    n = len(d)
+def _pivot_order(d: np.ndarray) -> tuple:
+    """(order, score): the vertices of the working copy d in ascending in * out
+    order (stable), in and out a vertex's off-diagonal entries below the cap
+    in its column and row, and each vertex's score in * out. As in
+    sparse elimination, such a pivot makes little fill (at most in * out new
+    entries), so later steps find fewer live rows; one of score 0 changes
+    nothing, its column (or row) at the cap off the diagonal. Counted in
+    bands of _CHUNK_BYTES, with no n x n mask."""
+    n, cap = len(d), _CAPS[d.dtype.type]
     fan_in, fan_out = np.zeros(n, np.int64), np.zeros(n, np.int64)
     band = max(1, _CHUNK_BYTES // max(n, 1))
     for r in range(0, n, band):
-        finite = d[r:r + band] != INF
-        fan_in += finite.sum(axis=0)
-        fan_out[r:r + band] = finite.sum(axis=1)
-    loop = np.diagonal(d) != INF
+        finite = (d[r:r + band] < cap).view(np.uint8)
+        fan_in += finite.sum(axis=0, dtype=np.int32)
+        fan_out[r:r + band] = finite.sum(axis=1, dtype=np.int32)
+    loop = np.diagonal(d) < cap
     score = (fan_in - loop) * (fan_out - loop)
-    order = np.argsort(score, kind="stable")
-    return order[np.count_nonzero(score == 0):].tolist()
+    return np.argsort(score, kind="stable"), score
 
 
 def fw_reference(d: np.ndarray) -> np.ndarray:
     """Reference all-pairs shortest paths: the classic triple loop (inner two
-    loops vectorized; identical results for unsigned weights), one _relax per
-    pivot k in _pivot_order. Any order gives the same closure: after the
-    steps over a set S, d[i, j] is the shortest walk with inner vertices in S.
+    loops vectorized; identical results for unsigned weights), over the
+    pivots k of _pivot_order with in * out > 0. Any order gives the same
+    closure: after the steps over a set S, d[i, j] is the shortest walk with
+    inner vertices in S.
+
+    Multiple elimination (J. W. H. Liu, ACM TOMS 11(2), 1985): one _relax
+    runs the s pivots of the next band W with no entry below the cap to or
+    from an earlier one of W (fixed points of each other's steps, so closed),
+    while the s - 1 calls of _CALL it saves outweigh W's scan, 4 |W| n entries.
 
     Holds one buffer of 4 * n^2 bytes, 8 * n^2 in uint64 (64 or 128 MiB at the
     functional guard, n = 4096), for the working copy (2 * n^2 bytes of it in
-    uint16) and the result; a band and its scratch take _CHUNK_BYTES each,
-    and the pivot order n ints.
+    uint16) and the result; a band and its scratch, and a batch's mask and
+    pivot rows, take _CHUNK_BYTES each, and the pivot order and scores 2n ints.
     """
     n = d.shape[0]
     if d.shape != (n, n):
         raise ValueError("distance matrix must be square")
 
-    def steps(out: np.ndarray) -> None:
-        for k in _pivot_order(d):
-            _relax(out, k, k + 1, out[k:k + 1])
+    def steps(out: np.ndarray, _) -> None:
+        order, score = _pivot_order(out)
+        rest = order[np.count_nonzero(score == 0):]
+        while len(rest) > 1:
+            window = rest[:max(1, _CHUNK_BYTES // (n * out.itemsize))]
+            linked = np.take(out[window], window, axis=1) < _CAPS[out.dtype.type]
+            j, i = np.divmod(np.flatnonzero(linked), len(window))
+            # The later of each linked pair waits.
+            wait = np.bincount(np.maximum(i, j)[i != j], minlength=len(window)) > 0
+            if (np.count_nonzero(~wait) - 1) * _CALL <= 4 * len(window) * n:
+                break
+            _relax(out, window[~wait], out[window[~wait]])
+            rest = np.concatenate([window[wait], rest[len(window):]])
+        for k in rest.tolist():
+            _relax(out, slice(k, k + 1), out[k:k + 1])
     return _closure(d, n, steps)
 
 
@@ -185,17 +208,30 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     every other row against these rows: pre-round pivot columns C give
     C (x) Q (x) R, and the K columns C (+) C (x) P = C (x) Q, the pivot-column
     phase too. The four-phase tile order lives in the scheduler and the
-    tests' naive_blocked. Returns tiles that view the row-major result,
-    equal to fw_reference's.
+    tests' naive_blocked.
+
+    With m > 1 and a spare array from _closure, d is permuted into
+    _pivot_order (score-0 and padding vertices first) for the rounds, so the
+    dense core falls in the last ones; unless the first b pivots' fill (at
+    most the sum of their scores) reaches n * m entries, one per row and
+    round, so that every round sweeps anyway. Returns tiles that view the
+    row-major result, equal to fw_reference's.
     """
     n, b, m = t.n, t.b, t.m
 
-    def rounds(d: np.ndarray) -> None:
+    def rounds(d: np.ndarray, spare) -> None:
+        order, score = _pivot_order(d) if spare is not None and m > 1 else (None, None)
+        permute = order is not None and score[order[:b]].sum() < n * m
+        if permute:  # rows into spare, columns back; a "clip" take writes unbuffered
+            np.take(np.take(d, order, 0, spare, "clip"), order, 1, d, "clip")
         for lo in range(0, n, b):
             hi = lo + b
             row = d[lo:hi]
             _minplus(row, row[:, lo:hi], row)
             if m > 1:
-                _relax(d, lo, hi, row)
+                _relax(d, slice(lo, hi), row)
+        if permute:
+            order = np.argsort(order)
+            np.take(np.take(d, order, 0, spare, "clip"), order, 1, d, "clip")
     d = _closure(t.tiles.swapaxes(1, 2), n, rounds)
     return TiledMatrix(n, b, m, d.reshape(m, b, m, b).swapaxes(1, 2))

@@ -166,6 +166,22 @@ def test_run_checks_the_timing_guard_before_scheduling(monkeypatch, capsys):
         scheduler.simulate(scheduler.TIMING_GUARD, 1, default_config(), enforce_wavefront=False)
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB for an array", ""])
+@pytest.mark.parametrize("kernel", ["fw_reference", "fw_blocked"])
+def test_out_of_memory_is_a_usage_error(monkeypatch, capsys, kernel, message):
+    """A kernel that cannot allocate its working copy ends verify with one
+    error line and exit 2, not a traceback; a MemoryError without a message
+    still says what went wrong."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli if kernel == "fw_reference" else scheduler, kernel, exhausted)
+    code, out, err = invoke(VERIFY, capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == f"error: {message or 'out of memory'}\n"
+    assert "PASS" not in out
+
+
 def test_verify_mismatch_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(cli, "fw_reference", lambda d: np.zeros_like(d))
     code, out, err = invoke(VERIFY, capsys)

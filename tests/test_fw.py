@@ -5,6 +5,7 @@ enumeration for tiny graphs, and scipy's shortest_path for medium ones. The
 blocked variant is then checked element-exact against the reference.
 """
 
+import tracemalloc
 from collections import namedtuple
 from itertools import permutations
 from types import SimpleNamespace
@@ -313,9 +314,9 @@ def widths(monkeypatch):
         tried = []
         calls.append(tried)
 
-        def logged(work):
+        def logged(work, spare):
             tried.append(work.dtype.type)
-            loop(work)
+            loop(work, spare)
 
         return closure(d, n, logged)
 
@@ -462,30 +463,37 @@ def naive_blocked(t):
     return tiles
 
 
-Step = namedtuple("Step", "n lo h live pairs relaxed")
+Step = namedtuple("Step", "n pivots sliced live pairs ranks linked relaxed")
 
 
 @pytest.fixture
 def spy(monkeypatch):
-    """Record a Step for each fw._relax call: the matrix order n, the first
-    pivot lo, the pivot width h, the live rows (outside the pivot rows, with a
-    pivot entry below the working cap) and the live (row, pivot) pairs before
-    the call, and the (row, step) pairs that fw._minplus relaxed during it.
-    Also count every (row, step) pair that fw._minplus relaxes."""
+    """Record a Step for each fw._relax call: the matrix order n, the pivots
+    (a list) and whether they came as a slice, the live rows (outside the
+    pivots, with a pivot entry below the working cap), the live (row, pivot)
+    pairs and the most in one row (the ranks) before the call, whether any
+    two pivots then had an entry below the cap between them, and the (row,
+    step) pairs that fw._minplus relaxed during it. Also count every (row,
+    step) pair that fw._minplus relaxes, stacked rows included."""
     log = SimpleNamespace(steps=[], relaxed=0)
     relax, minplus = fw._relax, fw._minplus
 
-    def spied_relax(d, lo, hi, right):
+    def spied_relax(d, pivots, right):
         cap = fw._CAPS[d.dtype.type]
-        outside = np.r_[0:lo, hi:len(d)]
-        live = d[outside, lo:hi] < cap
+        cols = np.arange(len(d))[pivots]
+        outside = np.setdiff1d(np.arange(len(d)), cols)
+        count = (d[np.ix_(outside, cols)] < cap).sum(axis=1)
+        between = d[np.ix_(cols, cols)] < cap
+        np.fill_diagonal(between, False)
         before = log.relaxed
-        relax(d, lo, hi, right)
-        log.steps.append(Step(len(d), lo, hi - lo, int(live.any(axis=1).sum()),
-                              int(live.sum()), log.relaxed - before))
+        relax(d, pivots, right)
+        log.steps.append(Step(len(d), cols.tolist(), isinstance(pivots, slice),
+                              int(np.count_nonzero(count)), int(count.sum()),
+                              int(count.max(initial=0)), bool(between.any()),
+                              log.relaxed - before))
 
     def spied_minplus(out, left, right):
-        log.relaxed += out.shape[-2] * left.shape[-1]
+        log.relaxed += int(np.prod(out.shape[:-1])) * left.shape[-1]
         minplus(out, left, right)
 
     monkeypatch.setattr(fw, "_relax", spied_relax)
@@ -495,27 +503,41 @@ def spy(monkeypatch):
 
 def relaxed_by(step, path):
     """The (row, step) pairs one _relax call relaxes on a path: "bands" the
-    n - h rows outside the pivot, and the pivot row too at h = 1, over h
-    steps; "rows" the live rows over h steps; "columns" each live pair once
-    (at h = 1, the live rows)."""
-    n, h = step.n, step.h
-    return {"bands": (n if h == 1 else n - h) * h, "rows": step.live * h,
-            "columns": step.pairs}[path]
+    n - h rows outside a slice of h > 1 pivots, and every row otherwise,
+    over h steps; "rows" the live rows over h steps; "pairs" each live pair
+    once (at h = 1, the live rows)."""
+    n, h = step.n, len(step.pivots)
+    swept = n - h if step.sliced and h > 1 else n
+    return {"bands": swept * h, "rows": step.live * h, "pairs": step.pairs}[path]
 
 
 def taken(step):
     """The path a _relax call took, after checking that it is the one the
     rule picks and relaxed what that path relaxes. The rule costs each path
-    in entries: "bands", contiguous bands of the rows outside the pivot,
-    h (n - h) n; "rows", the live rows gathered, (h + 1) live n; "columns",
-    per pivot column the rows live there gathered, 2 pairs n + h fw._CALL.
-    The cheapest wins, ties in that order."""
-    n, h = step.n, step.h
+    in entries: "bands", contiguous bands of the rows outside the pivots,
+    h (n - h) n; "rows", the live rows gathered, (h + 1) live n; "pairs", a
+    pass per rank, 3 pairs n + ranks fw._CALL (at h = 1, one rank). The
+    cheapest wins, ties in that order."""
+    n, h = step.n, len(step.pivots)
+    ranks = 1 if h == 1 else step.ranks
     costs = {"bands": h * (n - h) * n, "rows": (h + 1) * step.live * n,
-             "columns": 2 * step.pairs * n + h * fw._CALL}
+             "pairs": 3 * step.pairs * n + ranks * fw._CALL}
     path = min(costs, key=costs.get)
     assert step.relaxed == relaxed_by(step, path), (step, path)
     return path
+
+
+def batched(steps, d):
+    """Check fw_reference's calls: batches of index-array pivots, no two
+    linked when the batch ran, then one slice step per pivot; together they
+    take kept_pivots(d) once each. Returns the batch sizes."""
+    sizes = [len(step.pivots) for step in steps if not step.sliced]
+    assert [step.sliced for step in steps] == [False] * len(sizes) + [True] * (len(steps) - len(sizes))
+    assert not any(step.linked for step in steps[:len(sizes)])
+    assert all(size > 1 for size in sizes)
+    done = [k for step in steps for k in step.pivots]
+    assert sorted(done) == sorted(kept_pivots(d))
+    return sizes
 
 
 class TestBlocked:
@@ -590,24 +612,29 @@ class TestBlocked:
     # Both pad to 40 rows at b=4 (m=10) and run in uint16, and the 36 rows
     # outside the pivot rows go in bands of chunk // 40 rows, chunk counted in
     # uint16 entries: 1 gives 1-row bands, 576 gives 14-row bands and 36 * 40
-    # one band. At n = 40 four per-column gathers cost more than sweeping
-    # every row (4 * fw._CALL > 4 * 36 * 40), so each round gathers its live
-    # rows or sweeps bands. At density 0.05 rounds 0-6 gather their live rows,
-    # up to 27 of the 36, so at 576 several take a 14-row band and a ragged
-    # one; rounds 7-9 sweep contiguous bands, ragged at k=8 (14 + 14 + 4 rows
-    # above the pivot), except that at n = 37 round 8 finds 28 rows live,
-    # under the gather's cost, and gathers again. At density 0.5 every round
-    # sweeps, ragged on both sides at k=4 (14 + 2 above, 14 + 6 below).
+    # one band. At n = 40 one pass per rank costs more than sweeping every
+    # row (fw._CALL > 4 * 36 * 40), so each round gathers its live rows or
+    # sweeps bands. At density 0.05 the rounds run in fill order: at n = 40
+    # rounds 0-7 gather their live rows, up to 17 of the 36, so at 576 some
+    # take a 14-row band and a ragged one, and rounds 8-9 sweep; at n = 37,
+    # whose round 0 holds the 3 padding vertices, every round gathers. At
+    # density 0.5 the first 4 pivots' fill reaches n * m = 400 entries at
+    # n = 40, so its rounds keep tile order and sweep contiguous bands,
+    # ragged at k=8 (14 + 14 + 4 rows above the pivot) and on both sides at
+    # k=4 (14 + 2 above, 14 + 6 below); at n = 37 the padding keeps the fill
+    # under 400, and fill-order round 0 gathers its 14 live rows.
     @pytest.mark.parametrize("chunk", [1, 576, 36 * 40])
     def test_multi_chunk_wavefront(self, monkeypatch, spy, n, chunk):
         monkeypatch.setattr(fw, "_CHUNK_BYTES", 2 * chunk)
-        late = {40: ["bands"] * 3, 37: ["bands", "rows", "bands"]}[n]
-        for density, paths in ((0.05, ["rows"] * 7 + late), (0.5, ["bands"] * 10)):
+        sparse = {40: ["rows"] * 8 + ["bands"] * 2, 37: ["rows"] * 10}[n]
+        dense = {40: ["bands"] * 10, 37: ["rows"] + ["bands"] * 9}[n]
+        for density, paths in ((0.05, sparse), (0.5, dense)):
             d = build_distance_matrix(gen_synthetic(n, density, seed=22))
             spy.steps.clear()
             out = fw_blocked(to_tile_major(d, 4))
             assert out.m == 10
             assert [taken(step) for step in spy.steps] == paths
+            assert all(step.sliced for step in spy.steps)
             assert np.array_equal(from_tile_major(out, n), fw_reference(d))
 
     def test_blocked_idempotent_under_re_run(self):
@@ -684,9 +711,9 @@ def kept_pivots(d):
 class TestLiveRows:
     """Both kernels skip the (row, pivot) pairs whose pivot entry sits at the
     working cap (2^15 - 1 in uint16, 2^31 - 1 in uint32, INF in uint64), and
-    fw_reference the pivots that have no in- or no out-entry. At every step
-    or round _relax sweeps contiguous bands, gathers the live rows, or gathers
-    per pivot column the rows live there, whichever costs least."""
+    fw_reference the pivots that have no in- or no out-entry. At every batch,
+    step or round _relax sweeps contiguous bands, gathers the live rows, or
+    makes one pass per rank over the live pairs, whichever costs least."""
 
     # Edge weights that run a 40-vertex graph at each width.
     WEIGHTS = {"uint16": (1, 100), "uint32": (40_000, 50_000),
@@ -699,14 +726,18 @@ class TestLiveRows:
     @pytest.mark.parametrize("width", WEIGHTS)
     @pytest.mark.parametrize("chunk", [65_536, 120], ids=["one-band", "3-row-bands"])
     def test_gathers_then_switches(self, monkeypatch, spy, widths, width, chunk):
-        # chunk counts entries of the working width.
+        # chunk counts entries of the working width. At n = 40 a batch's scan
+        # is cheap, so fw_reference batches while two pivots of its window are
+        # free (the window is every pivot left at one band, 3 at 3-row bands);
+        # its batches gather their live rows.
         monkeypatch.setattr(fw, "_CHUNK_BYTES", chunk * np.dtype(width).itemsize)
         for seed in range(3):
             d = self.sparse(40, width, 40 + seed)
             spy.steps.clear()
             assert np.array_equal(fw_reference(d), scalar_fw(d))
             assert widths[-1] == [getattr(np, width)]
-            assert [step.lo for step in spy.steps] == kept_pivots(d)
+            sizes = batched(spy.steps, d)
+            assert len(sizes) >= 2 and max(sizes) <= (3 if chunk == 120 else 40)
             paths = [taken(step) for step in spy.steps]
             assert paths[0] == "rows" and "bands" in paths
             t = to_tile_major(d, 4)
@@ -728,8 +759,9 @@ class TestLiveRows:
         spy.steps.clear()
         assert np.array_equal(fw_reference(d), want)
         assert widths[-1] == [np.uint64]
-        # Vertices 1 and 6 have in- and out-entries: 6 -> 1 and 1 -> 2.
-        assert [step.lo for step in spy.steps] == [6, 1]
+        # Vertices 1 and 6 have in- and out-entries: 6 -> 1 and 1 -> 2. They
+        # are linked, so neither runs in a batch.
+        assert [step.pivots for step in spy.steps] == [[6], [1]]
         for b in (1, 2, 3):
             out = fw_blocked(to_tile_major(d, b))
             assert np.array_equal(out.tiles, naive[b])
@@ -750,9 +782,10 @@ class TestLiveRows:
             d[[0, 1, 2], [1, 2, 0]] = 100
         assert np.array_equal(fw_reference(d), scalar_fw(d))
         assert widths == [[getattr(np, width) if n else np.uint16]]
-        # Only the 3-cycle's vertices are pivots, each gathering its one live row.
-        pivots = [0, 1, 2] if graph == "isolated" else []
-        assert [step.lo for step in spy.steps] == pivots
+        # Only the 3-cycle's vertices are pivots, linked, so one step each,
+        # gathering its one live row.
+        pivots = [[0], [1], [2]] if graph == "isolated" else []
+        assert [step.pivots for step in spy.steps] == pivots
         assert [taken(step) for step in spy.steps] == ["rows"] * len(pivots)
         for b in (1, 3):
             t = to_tile_major(d, b)
@@ -776,44 +809,51 @@ class TestLiveRows:
         assert want[3, 4] == 3 and want[6, 7] == 2
         assert np.array_equal(fw_reference(d), want)
         assert widths == [[np.uint16]]
-        assert [step.lo for step in spy.steps] == kept_pivots(d) == [0, 2, 1]
+        assert [step.pivots for step in spy.steps] == [[0], [2], [1]]
+        assert kept_pivots(d) == [0, 2, 1]
         for b in (1, 3):
             t = to_tile_major(d, b)
             assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
 
     def test_relaxed_row_count(self, spy):
-        # fw_reference skips 76 of the 512 pivots. Its first 352 steps gather
-        # their live rows; of the last 84, 75 sweep all 512 rows. That is
-        # 44,656 relaxed (row, step) pairs of the dense 512^2 = 262,144, and
-        # 91,199 with the pivots in index order.
+        # fw_reference skips 76 of the 512 pivots. Of the other 436, 218 run
+        # in 3 batches of 124, 59 and 35, each a pass per rank over its live
+        # pairs. Of the 218 single steps, 143 gather their live rows and 75
+        # sweep all 512 rows, the first of them the 135th. That is 44,656
+        # relaxed (row, step) pairs of the dense 512^2 = 262,144, and 91,199
+        # with the pivots one at a time in index order.
         d = build_distance_matrix(gen_synthetic(512, 0.005, seed=1))
         fw_reference(d)
+        assert batched(spy.steps, d) == [124, 59, 35]
         paths = [taken(step) for step in spy.steps]
-        assert len(paths) == 436 and paths.index("bands") == 352
-        assert paths.count("bands") == 75
+        assert len(paths) == 221 and paths[:3] == ["pairs"] * 3
+        assert paths.index("bands") == 3 + 134 and paths.count("bands") == 75
         assert spy.relaxed == sum(step.relaxed for step in spy.steps) == 44_656
         # fw_blocked's 8 pivot-row passes relax 64 rows over 64 steps each.
-        # Rounds 0-4 gather per pivot column, rounds 5-7 their live rows.
+        # In fill order rounds 0-6 make a pass per rank, round 7 gathers its
+        # live rows (109,838 in tile order).
         spy.steps.clear()
         spy.relaxed = 0
         fw_blocked(to_tile_major(d, 64))
-        assert [taken(step) for step in spy.steps] == ["columns"] * 5 + ["rows"] * 3
-        assert sum(step.relaxed for step in spy.steps) == 77_070
-        assert spy.relaxed == 8 * 64 * 64 + 77_070 == 109_838
+        assert [taken(step) for step in spy.steps] == ["pairs"] * 7 + ["rows"]
+        assert sum(step.relaxed for step in spy.steps) == 27_684
+        assert spy.relaxed == 8 * 64 * 64 + 27_684 == 60_452
 
     def test_dense_input_sweeps_every_round(self, spy):
         d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
         fw_blocked(to_tile_major(d, 64))
         assert [taken(step) for step in spy.steps] == ["bands"] * 8
-        # fw_reference's first pivot, the vertex of least in * out, finds 236
-        # of the 511 rows live, under the half that a gather may cost at
-        # h = 1, so it gathers them, and so does its third; each of the 510
-        # other steps sweeps all 512 rows.
+        # fw_reference's first window has too few free pivots to pay for a
+        # batch. Its first pivot, the vertex of least in * out, finds 236 of
+        # the 511 rows live, under the half that a gather may cost at h = 1,
+        # so it gathers them, and so does its third; each of the 510 other
+        # steps sweeps all 512 rows.
         spy.steps.clear()
         spy.relaxed = 0
         fw_reference(d)
         paths = [taken(step) for step in spy.steps]
         assert paths == ["rows", "bands", "rows"] + ["bands"] * 509
+        assert all(step.sliced for step in spy.steps)
         assert spy.steps[0].live == 236
         assert spy.relaxed == 236 + spy.steps[2].live + 510 * 512
 
@@ -821,8 +861,11 @@ class TestLiveRows:
     def test_steps_into_vertices_without_in_edges_relax_nothing(self, spy, widths, width):
         # Every vertex has edges to all of the first half; no vertex of the
         # second half has an in-edge. fw_reference runs only the first half's
-        # steps, in index order (in * out is 39 * 19 for each), and its first
-        # step sweeps. In fw_blocked, from round m / 2 on, no row is live.
+        # steps, one at a time (each is linked to all the others), in index
+        # order (in * out is 39 * 19 for each), and its first step sweeps. In
+        # fw_blocked's tile order, from round m / 2 on, no row is live; at
+        # uint16 the fill order puts the second half's vertices, of score 0,
+        # in the first m / 2 rounds, which find no row live.
         n = 40
         rng = np.random.default_rng(n)
         d = rng.integers(*self.WEIGHTS[width], size=(n, n), dtype=np.uint64)
@@ -831,21 +874,40 @@ class TestLiveRows:
         np.fill_diagonal(d, 0)
         assert np.array_equal(fw_reference(d), scalar_fw(d))
         assert widths[-1] == [getattr(np, width)]
-        assert [step.lo for step in spy.steps] == list(range(n // 2))
+        assert [step.pivots for step in spy.steps] == [[k] for k in range(n // 2)]
         assert taken(spy.steps[0]) == "bands"
         for b in (1, 4):
             t = to_tile_major(d, b)
             want = naive_blocked(t)
             spy.steps.clear()
             assert np.array_equal(fw_blocked(t).tiles, want)
-            assert taken(spy.steps[0]) == "bands"
-            assert [step.relaxed for step in spy.steps[t.m // 2:]] == [0] * (t.m // 2)
+            half = t.m // 2
+            dead, swept = (0, half) if width == "uint16" else (half, 0)
+            assert taken(spy.steps[swept]) == "bands"
+            assert [step.relaxed for step in spy.steps[dead:dead + half]] == [0] * half
+
+    @pytest.mark.parametrize("graph", ["sparse-256", "path", "cycle", "3-row-windows"])
+    def test_batches_are_independent_and_cover_the_order(self, monkeypatch, spy, graph):
+        # batched checks each batch's pivots for an entry below the cap
+        # between two of them when it runs, and that batches and single steps
+        # take every pivot of in * out > 0 once.
+        if graph == "3-row-windows":
+            monkeypatch.setattr(fw, "_CHUNK_BYTES", 3 * 2 * 128)
+        d = {"sparse-256": lambda: build_distance_matrix(gen_synthetic(256, 0.01, seed=2)),
+             "path": lambda: path_graph(64, 7),
+             "cycle": lambda: np.where(np.eye(48, k=-47, dtype=bool), 3, path_graph(48, 3)),
+             "3-row-windows": lambda: build_distance_matrix(gen_synthetic(128, 0.02, seed=3)),
+             }[graph]()
+        assert np.array_equal(fw_reference(d), scipy_apsp(d))
+        sizes = batched(spy.steps, d)
+        assert (sizes == []) == (graph in ("path", "cycle"))
 
 
 class TestPaths:
     """Each of _relax's paths, forced through fw._path at every call, gives
     the same distances: at every width, with a zero, a positive or an INF
-    diagonal, against scalar_fw and naive_blocked (both computed unforced)."""
+    diagonal, for batches of index-array pivots and steps and rounds of
+    slices, against scalar_fw and naive_blocked (both computed unforced)."""
 
     @pytest.mark.parametrize("width", TestLiveRows.WEIGHTS)
     @pytest.mark.parametrize("diagonal", ["zero", "positive", "INF"])
@@ -860,16 +922,66 @@ class TestPaths:
         assert 0 not in kept_pivots(d) and 9 not in kept_pivots(d)
         want = scalar_fw(d)
         naive = {b: naive_blocked(to_tile_major(d, b)) for b in (1, 3, 5, 24)}
-        for path in ("bands", "rows", "columns"):
-            monkeypatch.setattr(fw, "_path", lambda n, h, live, pairs: path)
+        for path in ("bands", "rows", "pairs"):
+            monkeypatch.setattr(fw, "_path", lambda n, h, live, pairs, ranks: path)
             widths.clear()
             spy.steps.clear()
             assert np.array_equal(fw_reference(d), want), path
-            assert [step.lo for step in spy.steps] == kept_pivots(d)
+            assert batched(spy.steps, d)
             for b, tiles in naive.items():
                 assert np.array_equal(fw_blocked(to_tile_major(d, b)).tiles, tiles), (path, b)
             assert widths == [[getattr(np, width)]] * 5
             assert all(step.relaxed == relaxed_by(step, path) for step in spy.steps)
+
+    @pytest.mark.parametrize("path", ["bands", "rows", "pairs"])
+    @pytest.mark.parametrize("pivots", [[6, 1, 4], slice(2, 5)], ids=["array", "slice"])
+    def test_one_call_equals_its_steps(self, monkeypatch, spy, path, pivots):
+        # Pivots 6, 1 and 4 with no entry below the cap between them, or rows
+        # 2:5 closed over their own steps first: either way their rows are
+        # closed, so one _relax, on any path, gives what single steps give,
+        # each pivot against the rows as they then stand.
+        rng = np.random.default_rng(7)
+        d = np.minimum(arbitrary_matrix(rng, 9, 400), CAP16).astype(np.uint16)
+        if isinstance(pivots, slice):
+            fw._minplus(d[pivots], d[pivots][:, pivots], d[pivots])
+        else:
+            d[np.ix_(pivots, pivots)] = np.where(np.eye(3, dtype=bool),
+                                                 d[pivots, pivots][:, None], CAP16)
+        want = d.astype(np.int64)
+        for k in np.arange(9)[pivots]:
+            want = np.minimum(want, np.minimum(want[:, k, None] + want[k], CAP16))
+        monkeypatch.setattr(fw, "_path", lambda n, h, live, pairs, ranks: path)
+        fw._relax(d, pivots, d[pivots])
+        assert np.array_equal(d, want)
+        [step] = spy.steps
+        assert step.relaxed == relaxed_by(step, path) and step.ranks > 1
+
+
+class TestMemory:
+    """The batches and the fill-ordered rounds hold no second n x n array:
+    on a sparse n = 1024 graph each kernel's traced peak stays within one
+    band of _CHUNK_BYTES of its peak with pivots one at a time and rounds in
+    tile order: 5,247,105 bytes for fw_reference, 5,245,657 for fw_blocked
+    at b = 128 and 6,326,776 at b = 1024 (the 4 MiB result plus bands and
+    scratch; at m = 1 the pivot-row pass holds n x n scratch)."""
+
+    PEAKS = {"reference": 5_247_105, "b=128": 5_245_657, "b=1024": 6_326_776}
+
+    @pytest.mark.parametrize("kernel", PEAKS)
+    def test_peak_within_one_band(self, kernel):
+        d = build_distance_matrix(gen_synthetic(1024, 0.005, seed=1))
+        if kernel == "reference":
+            run = lambda: fw_reference(d)
+        else:
+            t = to_tile_major(d, int(kernel[2:]))
+            run = lambda: fw_blocked(t)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAKS[kernel] + fw._CHUNK_BYTES
 
 
 @st.composite
