@@ -23,28 +23,25 @@ quote plus its tsv_bits: tile_update_cost for the pivot and both update kinds,
 cpe_reduction_cost for reductions, and nothing for broadcasts.
 
 No resource is busy when a round starts and every stage waits for the one
-before it, so every time in a round is an offset from its start and a round's
-length does not depend on when it starts. Rounds are therefore built in groups
-of consecutive pivots, each group a few array operations over its
-(rounds, m^2 - 1) updates in emission order, times as offsets. Per-resource
-scans run on the composite key round * width + bank-group, width being the
-bank-groups of the channels that hold tiles, so one scan serves every round
-of a group and key // g is the channel:
+before it, so every time in a round is an offset from its start, and rounds
+are built in groups of consecutive pivots. Tile t = i * m + j lives on
+bank-group t mod G, so the row-major grid cut into laps of `width` tiles has
+one bank-group per column and one channel per run of g columns, and every
+scan runs along an axis in emission order, with no sort:
 
-  row/column ends      fill_end + a per-bank-group cumsum of durations
-  result broadcasts    the TSV chain x_i = max(x_{i-1}, e_i) + f_i from
-                       x_0 = fill_end is S_i + max(fill_end,
-                       max_{q<=i}(e_q - S_{q-1})), S = cumsum(f); its end T
-                       follows every row/column end and frees the wavefront
-  wavefront ends       T + a per-bank-group cumsum of durations
+  row/column ends      the fill's end + a cumsum over each line's tiles a
+                       bank-group period apart, column tiles after row tiles
+  result broadcasts    the TSV chain x_i = max(x_{i-1}, e_i) + f_i from the
+                       pivot's end is S_i + max_{q<=i}(e_q - S_q + f_q), S =
+                       cumsum(f); its end T frees the wavefront
+  wavefront ends       T + a cumsum down the laps
   channel-PE chain     a channel's p-th reduction, C cycles each, ends at
-                       (p + 1) C + max_{q<=p}(e_q - q C)
-  vector streams       max(1, [channel differs] + [position differs]) steps
-  fill/result fan-out  one step to cross channels plus one per bank-group
-                       past the entry point, counted on a (round, broadcast,
-                       channel, position) mask of destinations
-  round starts         the bulk load plus an exclusive cumsum of round
-                       lengths, each its last broadcast or reduction end
+                       (p + 1) C + max_{q<=p}(e_q - q C): on a one-hot of
+                       channels for row and column tiles, then on the runs
+  vector streams       one step, two if both channel and position differ
+  fan-out              a step to cross channels, one per bank-group past the
+                       entry point: per line of tiles, and the fill per round
+  round starts         the bulk load + an exclusive cumsum of round lengths
 
 tests/reference_scheduler.py schedules tile by tile; it is the oracle.
 """
@@ -73,14 +70,12 @@ from .perf import (
 FUNCTIONAL_GUARD = 4096
 
 # simulate and timeline refuse more tiles per row than this: their cost grows
-# as m^3, 0.26 s at m = 128 and 2.3 s at m = 256 on a 2-core Xeon.
+# as m^3, 44 ms at m = 128 and 0.28 s at m = 256 for simulate on a 2-core Xeon.
 TIMING_GUARD = 1024
 
-# Pivot rounds are built in groups of at most this many tile updates or
-# destination bank-groups a round (at least one round): enough to amortize
-# numpy's per-call cost over several rounds, few enough to keep a group's
-# temporaries small.
-_GROUP_UPDATES = 8192
+# Pivot rounds are built in groups of at most this many grid tiles (at least one
+# round): numpy's per-call cost amortized, a group's temporaries kept small.
+_GROUP_UPDATES = 32768
 
 
 class EventKind(IntEnum):
@@ -125,43 +120,24 @@ def tiles_per_row(n: int, b: int) -> int:
     return -(-n // b)
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Each element's count of earlier elements with the same key, in
-    row-major order. Keys are composite, round * stride + bank-group or
-    channel, one round per row. A stable radix sort through a uint16 cast
-    orders them even past 2^16: a round's bank-groups or channels (at most
-    MAX_BANK_GROUPS = 2^16) differ mod 2^16, and keys that share a residue
-    come from different rounds, which the stable sort keeps in row order."""
-    flat = keys.ravel()
-    order = np.argsort(flat.astype(np.uint16), kind="stable")
-    idx = np.arange(len(flat))
-    first = np.r_[True, np.diff(flat[order]) != 0]
-    ranks = np.empty_like(idx)
-    ranks[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))
-    return ranks.reshape(keys.shape)
+def _order(live, wave, pivot, fill, rc, grid) -> np.ndarray:
+    """One EVENT field of a group of rounds in emission order: per round the
+    pivot's and fill's values, then rc = (update, reduction, result broadcast)
+    per live slot of its (rounds, 2m) row and column tiles, then grid =
+    (update, reduction) per live tile of its (rounds, m^2) grid."""
+    parts = [np.broadcast_to(pivot, (len(live), 1)),
+             np.broadcast_to(fill, (len(live), int(live.shape[1] > 2)))]  # m = 1: no fill
+    for mask, values in ((live, rc), (wave, grid)):
+        values = np.stack([np.broadcast_to(v, mask.shape) for v in values], axis=2)
+        parts.append(values[mask].reshape(len(live), -1))
+    return np.concatenate(parts, axis=1).ravel()
 
 
-def _scan(op: np.ufunc, keys: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """op.accumulate of values over the elements that share a key, in order:
-    the rows of a (key, rank) grid, read no further than each key's last rank."""
-    grid = np.zeros((keys.max() + 1, ranks.max() + 1), dtype=np.int64)
-    grid[keys, ranks] = values
-    return op.accumulate(grid, axis=1)[keys, ranks]
-
-
-def _order(shape, pivot, broadcast, update, reduce) -> np.ndarray:
-    """One EVENT field of a group of rounds in emission order (see above).
-    shape is (rounds, row/column tiles, updates); the values broadcast to
-    (rounds, 1) for the pivot, (rounds, 1 + row/column tiles) for the fill
-    and result broadcasts, and (rounds, updates) for updates and reductions."""
-    rounds, rc, updates = shape
-    pivot = np.broadcast_to(pivot, (rounds, 1))
-    broadcast = np.broadcast_to(broadcast, (rounds, 1 + rc))
-    update, reduce = (np.broadcast_to(a, (rounds, updates)) for a in (update, reduce))
-    per_tile = [np.stack([update[:, :rc], reduce[:, :rc], broadcast[:, 1:]], axis=2),
-                np.stack([update[:, rc:], reduce[:, rc:]], axis=2)]
-    return np.concatenate([pivot, broadcast[:, :1]] + [t.reshape(rounds, -1) for t in per_tile],
-                          axis=1).ravel()
+def _fold(values: np.ndarray, period: int) -> np.ndarray:
+    """Per round of values, (rounds, laps, period) cumsums down laps of period."""
+    padded = np.zeros((len(values), -(-values.shape[1] // period) * period), dtype=values.dtype)
+    padded[:, :values.shape[1]] = values
+    return np.cumsum(padded.reshape(len(values), -1, period), axis=1)
 
 
 def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
@@ -202,119 +178,143 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     if cfg.pim.bulk_load_cycles + m * round_bound > (1 << 63) - 1:
         raise ConfigError(f"n={n} with b={b} can exceed 2^63 - 1 cycles or TSV bits, "
                           "the scheduler's int64 range")
-    # Tile (i, j) lives on bank-group (i * m + j) mod the bank-group count.
-    bank_group = np.arange(m * m).reshape(m, m) % cfg.total_bank_groups
-    busy = np.zeros(cfg.total_bank_groups, dtype=np.int64)
-    width = -(-min(cfg.total_bank_groups, m * m) // g) * g  # the channels holding tiles
-    rc = 2 * (m - 1)
-    j = np.arange(m - 1)
-    rows = np.arange(2 * m - 1)
-    tsv_bits = 0
-
-    def streams(src, dst):
-        """Cycles and TSV bits of the b vectors one update streams from src."""
-        cross = src // g != dst // g
-        return (np.maximum(1, cross + (src % g != dst % g).astype(np.int64)) * beats,
-                cross * (b * vector_bits))
+    total = cfg.total_bank_groups
+    busy = np.zeros(total, dtype=np.int64)
+    per = min(g, m * m)  # below g only when one channel holds every tile
+    width = min(total, -(-m * m // per) * per)
+    held, laps = width // per, -(-m * m // width)
+    cell = np.arange(m * m).reshape(m, m)
+    bank_group = cell % total
+    channel, position = (a.astype(np.min_scalar_type(width)) for a in np.divmod(bank_group, per))
+    # Slot s < m of a round is row tile (k, s), which publishes to column s,
+    # slot m + i column tile (i, k), to row i. Per line and source position:
+    # the entry point in each channel is the like-positioned bank-group.
+    slot = np.arange(2 * m)
+    line = np.bincount((slot[:, None] * width + np.concatenate([bank_group.T, bank_group])).ravel(),
+                       minlength=2 * m * width).reshape(2 * m, held, per)  # tiles per bank-group
+    counts = (line > 0).sum(axis=2)
+    line_crossings = (counts > 0).sum(axis=1) - 1
+    to_line = beats * np.maximum(1, (line_crossings > 0)[:, None]
+                                 + (counts[:, :, None] - (line > 0)).max(axis=1))
+    # An update's cycles by grid index: a wavefront tile's count of two streams
+    # crossing channel and position, 3 + that of one for a row or column tile,
+    # 6 the pivot, 7 padding; int32 where that holds a round. With overlap,
+    # step t+1's vectors ride under step t's compute.
+    vec = np.array([2, 3, 4, 1, 2]) * beats
+    cost = np.append(b * (np.maximum(step_cycles, vec) if cfg.pim.broadcast_overlap else
+                          step_cycles + vec), [0, update.cycles, 0]).astype(
+        np.int32 if round_bound < 1 << 31 else np.int64)
 
     start = cfg.pim.bulk_load_cycles
-    # A round's events: pivot, fill, 3 per row/column tile, 2 per wavefront tile.
-    per_round = 2 + 3 * rc + 2 * (m - 1) ** 2 if m > 1 else 1
+    # A round's events: pivot, fill if m > 1, 3 per row/column tile, 2 per wavefront tile.
+    per_round = 1 + (m > 1) + 6 * (m - 1) + 2 * (m - 1) ** 2
     events = np.empty((start > 0) + m * per_round, dtype=EVENT) if keep_events else None
     at = int(start > 0)  # the events written
-    if start > 0:
-        tsv_bits = (m * b) * (m * b) * cfg.pim.operand_bits
-        if events is not None:
-            events[0] = (EventKind.BROADCAST, -1, -1, -1, 0, 0, start, tsv_bits)
-    if m == 1:  # one round, its pivot tile alone; the groups below need updates
-        busy[0] = update.cycles
-        if events is not None:
-            events[at] = (EventKind.PIVOT_FW, 0, 0, 0, 0, start, start + update.cycles, 0)
-        start += update.cycles
+    tsv_bits = (m * b) * (m * b) * cfg.pim.operand_bits if start > 0 else 0
+    if start > 0 and events is not None:
+        events[0] = (EventKind.BROADCAST, -1, -1, -1, 0, 0, start, tsv_bits)
     group = max(1, _GROUP_UPDATES // max(m * m, width))
-    for k0 in range(0, m if m > 1 else 0, group):
+    for k0 in range(0, m, group):
         ks = np.arange(k0, min(k0 + group, m))
-        kk = np.arange(len(ks))[:, None]
-        pivot_bg = bank_group[ks, ks]
-        np.add.at(busy, pivot_bg, update.cycles)
+        rounds, r = len(ks), np.arange(len(ks))
+        tiles = np.concatenate([cell[ks], cell[:, ks].T], axis=1)
+        live = tiles != ks[:, None] * (m + 1)  # the pivot's two slots are masked
+        rc_ch, rc_pos = np.divmod(tiles % total, per)
 
-        # Emission order: pivot row, pivot column, wavefront. A row or column tile
-        # streams the pivot's vectors; wavefront tile (i, j), (i, k)'s and (k, j)'s.
-        others = j + (j >= ks[:, None])  # each round's tiles but k
-        row_bg, col_bg = bank_group[ks[:, None], others], bank_group[others, ks[:, None]]
-        wave_bg = bank_group[others[:, :, None], others[:, None, :]]
-        bgs = np.concatenate([row_bg, col_bg, wave_bg.reshape(len(ks), -1)], axis=1)
-        vec, vec_bits = streams(pivot_bg[:, None], bgs[:, :rc])
-        from_col, col_bits = streams(col_bg[:, :, None], wave_bg)
-        from_row, row_bits = streams(row_bg[:, None, :], wave_bg)
-        vec = np.concatenate([vec, (from_col + from_row).reshape(len(ks), -1)], axis=1)
-        vec_bits = np.concatenate([vec_bits, (col_bits + row_bits).reshape(len(ks), -1)],
-                                  axis=1)
-        # Each of the b inner-product steps consumes a freshly broadcast
-        # vector from each source; with overlap, step t+1's vectors ride
-        # under step t's compute.
-        cycles = b * (np.maximum(step_cycles, vec) if cfg.pim.broadcast_overlap
-                      else step_cycles + vec)
-        np.add.at(busy, bgs.ravel(), cycles.ravel())
+        # Tile (i, j) streams b vectors from (i, k) and from (k, j), a row or
+        # column tile from the pivot alone.
+        cross_a = channel != channel[:, ks].T[:, :, None]
+        cross_b = channel != channel[ks][:, None, :]
+        index = np.full((rounds, laps * width), 7, dtype=cost.dtype)
+        grid = index[:, :m * m].reshape(rounds, m, m)
+        np.add((cross_a & (position != position[:, ks].T[:, :, None])).view(np.int8),
+               (cross_b & (position != position[ks][:, None, :])).view(np.int8), out=grid)
+        grid[r, ks] += 3
+        grid[r, :, ks] += 3
+        cycles = np.take(cost, index, out=index)
+        busy[:width] += cycles.reshape(-1, width).sum(axis=0, dtype=np.int64)
+        tsv_bits += int(np.count_nonzero(cross_a) + np.count_nonzero(cross_b)) * b * vector_bits
+        rc = cycles[r[:, None], tiles] * live
+        cycles[r[:, None], tiles] = 0  # the wavefront's alone
 
-        # Broadcast 0 stages the pivot's first vector at the row/column tiles,
-        # broadcast 1 + t row/column tile t's first result vector at its
-        # consumers: wavefront column j for row tile j, row i for column tile i.
-        dst = np.zeros((len(ks), 2 * m - 1, width), dtype=bool)
-        dst[kk, 0, bgs[:, :rc]] = True
-        dst[kk[:, :, None], 1 + j, wave_bg] = True
-        dst[kk[:, :, None], m + j[:, None], wave_bg] = True
-        src = np.concatenate([pivot_bg[:, None], bgs[:, :rc]], axis=1)
-        fan = dst.reshape(len(ks), 2 * m - 1, width // g, g)
-        per_channel = fan.sum(axis=3)
-        hops = (per_channel - fan[kk, rows, :, src % g]).max(axis=2)
-        reached = per_channel > 0
-        crossings = reached.sum(axis=2) - reached[kk, rows, src // g]
-        bcast = np.maximum(1, (crossings > 0) + hops) * beats
-        tsv_bits += int(crossings.sum()) * vector_bits + int(vec_bits.sum())
+        # The fill reaches column k's and row k's tiles (both hold the pivot;
+        # there are none when m = 1).
+        dst = line[ks] + line[m + ks]
+        dst[r, rc_ch[r, ks], rc_pos[r, ks]] -= 2
+        filled = (dst > 0).sum(axis=2)
+        crossings = (filled > 0).sum(axis=1) - (filled[r, rc_ch[r, ks]] > 0)
+        hops = (filled - (dst[r, :, rc_pos[r, ks]] > 0)).max(axis=1)
+        sends = np.concatenate([beats * np.maximum(m > 1, (crossings > 0) + hops)[:, None],
+                                to_line[slot, rc_pos] * live], axis=1)
+        tsv_bits += (int(crossings.sum()) + int((line_crossings * live).sum())) * vector_bits
 
-        # Row and column tiles start after the fill; the wavefront once the
-        # last of their result vectors is published on the TSV bus. Scans run
-        # per round and resource on the key round * width + bank-group, whose
-        # channel is key // g.
-        key = kk * width + bgs
-        fill_end = update.cycles + bcast[:, :1]
-        ends = fill_end + _scan(np.add, key[:, :rc], _ranks(key[:, :rc]), cycles[:, :rc])
-        sent = np.cumsum(bcast, axis=1)
-        bcast_ends = sent + np.maximum.accumulate(
-            np.concatenate([np.full_like(fill_end, update.cycles), ends], axis=1)
-            - sent + bcast, axis=1)
+        # A row tile's bank-group recurs every `total` tiles, a column tile's
+        # every total / gcd(m, total); column tiles queue after row tiles.
+        rows = _fold(rc[:, :m], min(m, total))
+        cols = _fold(rc[:, m:], min(m, total // np.gcd(m, total)))
+        lane = (np.arange(cols.shape[2]) * m + ks[:, None] * (1 - m)) % total
+        cols += np.where(lane < rows.shape[2], rows[r[:, None], -1, np.minimum(
+            lane, rows.shape[2] - 1)], 0)[:, None]
+        ends = (update.cycles + sends[:, :1] + np.concatenate(
+            [rows.reshape(rounds, -1)[:, :m], cols.reshape(rounds, -1)[:, :m]], axis=1)) * live
+        sent = np.cumsum(sends, axis=1)
+        bcast_ends = sent + np.maximum.accumulate(np.concatenate(
+            [np.full((rounds, 1), update.cycles), ends], axis=1) - sent + sends, axis=1)
         released = bcast_ends[:, -1:]
-        wave = key[:, rc:]
-        ends = np.concatenate([ends, released + _scan(np.add, wave, _ranks(wave), cycles[:, rc:])],
-                              axis=1)
-        ch = key // g
-        p = _ranks(ch)
-        cpe_ends = (p + 1) * cpe.cycles + _scan(np.maximum, ch, p, ends - p * cpe.cycles)
+
+        # The row and column tiles' channel-PE chains, on a one-hot of channels.
+        hot = np.where(live, rc_ch, held)[:, None, :] == np.arange(held)[:, None]
+        counted = np.cumsum(hot, axis=2, dtype=np.int32)
+        rank = counted[r[:, None], rc_ch, slot].astype(np.int64) - 1
+        rc_terms = np.where(hot, (ends - rank * cpe.cycles)[:, None, :], np.iinfo(np.int64).min)
+        carried = counted[:, :, -1].astype(np.int64) * cpe.cycles
+        # The wavefront's chains continue along each channel's runs. A masked
+        # tile counts the live ones before it, so its term is no more than the
+        # last tile's on its bank-group or the next live tile's, or else puts
+        # its chain's end at T, which the round already waits for.
+        queue = cycles.reshape(rounds, laps, held, per).transpose(0, 2, 1, 3).copy()
+        waves = (queue > 0).reshape(rounds, held, -1)
+        np.cumsum(queue, axis=2, out=queue)
+        terms = cycles.reshape(rounds, held, -1)  # row-major cycles are done with
+        np.multiply(waves, cpe.cycles, out=terms)
+        np.cumsum(terms, axis=2, out=terms)
+        done = carried + terms[:, :, -1]
+        np.subtract(queue.reshape(rounds, held, -1), terms, out=terms)
+        np.add(terms, cpe.cycles, out=terms, where=waves)
         # The round ends with its last broadcast or channel-PE reduction; no
         # resource is busy when the next one starts.
-        lengths = np.maximum(released[:, 0], cpe_ends.max(axis=1))
-        starts = start + np.cumsum(lengths) - lengths
+        lengths = np.maximum(released[:, 0], (done + np.maximum(
+            rc_terms.max(axis=2), released + terms.max(axis=2) - carried)).max(axis=1))
+        s = (start + np.cumsum(lengths) - lengths)[:, None]  # the round starts
         start += int(lengths.sum())
         if events is not None:
-            # Each update's target tile i * m + j; the fill's is the pivot's.
-            k, s, shape = ks[:, None], starts[:, None], (len(ks), rc, bgs.shape[1])
-            inner = (others[:, :, None] * m + others[:, None]).reshape(len(ks), -1)
-            tiles = np.concatenate([k * m + others, others * m + k, inner], axis=1)
-            kind = np.where(np.arange(shape[2]) < rc, EventKind.ROW_COL_UPDATE,
-                            EventKind.REMAINING_UPDATE)
-            rec = events[at:at + len(ks) * per_round]
-            at += len(rec)
-            rec["kind"] = _order(shape, EventKind.PIVOT_FW, EventKind.BROADCAST, kind,
-                                 EventKind.CPE_REDUCE)
-            rec["k"] = _order(shape, k, k, k, k)
-            rec["i"], rec["j"] = np.divmod(
-                _order(shape, k * (m + 1), np.c_[k * (m + 1), tiles[:, :rc]], tiles, tiles), m)
-            rec["unit"] = _order(shape, pivot_bg[:, None], 0, bgs, bgs // g)
-            rec["start"] = _order(shape, s, s + bcast_ends - bcast, s + ends - cycles,
-                                  s + cpe_ends - cpe.cycles)
-            rec["end"] = _order(shape, s + update.cycles, s + bcast_ends, s + ends, s + cpe_ends)
-            rec["tsv_bits"] = _order(shape, 0, crossings * vector_bits, vec_bits, 0)
+            chain = np.maximum.accumulate(rc_terms, axis=2)
+            rc_cpe = s + (rank + 1) * cpe.cycles + chain[r[:, None], rc_ch, slot]
+            wave_cpe = queue.reshape(rounds, held, -1) - terms + cpe.cycles + np.maximum(
+                chain[:, :, -1:] + carried[:, :, None],
+                released[:, :, None] + np.maximum.accumulate(terms, axis=2))
+            cycles, wave_ends, wave_cpe = (
+                a.reshape(rounds, held, laps, per).transpose(0, 2, 1, 3).reshape(rounds, -1)[
+                    :, :m * m] for a in (np.diff(queue, axis=2, prepend=0), queue, wave_cpe))
+            k, pivot, wave = ks[:, None], ks[:, None] * (m + 1), cycles > 0
+            streams = (cross_a.astype(np.int64) + cross_b).reshape(rounds, -1) * (b * vector_bits)
+            rec, at = events[at:at + rounds * per_round], at + rounds * per_round
+            for name, *values in (
+                    ("kind", EventKind.PIVOT_FW, EventKind.BROADCAST,
+                     (EventKind.ROW_COL_UPDATE, EventKind.CPE_REDUCE, EventKind.BROADCAST),
+                     (EventKind.REMAINING_UPDATE, EventKind.CPE_REDUCE)),
+                    ("k", k, k, (k,) * 3, (k,) * 2),
+                    ("unit", pivot % total, 0, (tiles % total, rc_ch, 0),
+                     (bank_group.ravel(), channel.ravel())),
+                    ("end", s + update.cycles, s + bcast_ends[:, :1], (s + ends, rc_cpe,
+                     s + bcast_ends[:, 1:]), (s + released + wave_ends, s + wave_cpe)),
+                    ("tsv_bits", 0, crossings[:, None] * vector_bits,
+                     (streams[r[:, None], tiles], 0, line_crossings * vector_bits), (streams, 0))):
+                rec[name] = _order(live, wave, *values)
+            rec["start"] = rec["end"] - _order(live, wave, update.cycles, sends[:, :1], (
+                rc, cpe.cycles, sends[:, 1:]), (cycles, cpe.cycles))
+            rec["i"], rec["j"] = np.divmod(_order(live, wave, pivot, pivot, (tiles,) * 3,
+                                                  (cell.ravel(),) * 2), m)
 
     counts = (update.counts.scaled(m ** 3) + cpe.counts.scaled(m ** 3 - m)
               + OpCounts(tsv_bits=tsv_bits))

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import csgraph_from_dense, shortest_path
 
 from fwsim import (
     INF,
@@ -75,9 +75,11 @@ def enumerate_apsp(d):
 
 
 def scipy_apsp(d):
+    """scipy's distances. The graph is built with INF as its null value: a
+    dense matrix would read each zero weight as a missing edge."""
     f = d.astype(np.float64)
     f[f == INF] = np.inf
-    res = shortest_path(f, method="D")
+    res = shortest_path(csgraph_from_dense(f, null_value=np.inf), method="D")
     out = np.where(np.isinf(res), INF, res)
     return out.astype(np.uint32)
 
@@ -260,6 +262,12 @@ class TestReference:
         for seed, n, density in [(0, 24, 0.15), (1, 48, 0.4), (2, 32, 1.0)]:
             d = build_distance_matrix(gen_synthetic(n, density, seed=seed))
             assert np.array_equal(fw_reference(d), scipy_apsp(d))
+
+    def test_zero_weight_edges_against_scipy(self):
+        # A third of the edges weigh 0: paths through them are the shortest.
+        d = build_distance_matrix(gen_synthetic(32, 0.15, seed=4))
+        d[(d < INF) & (np.random.default_rng(4).random(d.shape) < 1 / 3)] = 0
+        assert np.array_equal(fw_reference(d), scipy_apsp(d))
 
     def test_idempotence(self):
         d = build_distance_matrix(gen_synthetic(40, 0.3, seed=9))

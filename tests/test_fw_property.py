@@ -35,22 +35,32 @@ def graphs(draw):
     return d.astype(np.uint32), b
 
 
-def scipy_fw(d):
+def scipy_closure(d):
+    """scipy's distances, zero weights kept as edges (a dense matrix would
+    read each zero as a missing edge), with each diagonal entry the shortest
+    closed walk through its vertex, min over j of d[i, j] + dist(j, i), as
+    Floyd-Warshall leaves it; 0 where the diagonal is 0."""
     f = d.astype(np.float64)
     f[d == INF] = np.inf
-    dist = floyd_warshall(f, directed=True)
+    dist = floyd_warshall(csgraph_from_dense(f, null_value=np.inf), directed=True)
+    np.fill_diagonal(dist, np.min(f + dist.T, axis=1))
     dist[~np.isfinite(dist)] = INF
     return np.minimum(dist, INF).astype(np.uint32)
 
 
+# 0 -> 1 weighs 0, so 0 reaches 2 through 1 at 7.
+ZERO_EDGE = np.array([[0, 0, INF], [INF, 0, 7], [5, INF, 0]], dtype=np.uint32)
+
+
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(graphs())
+@example((ZERO_EDGE, 2))
 def test_blocked_equals_reference_equals_scipy(case):
     d, b = case
     n = d.shape[0]
     ref = fw_reference(d)
     assert np.array_equal(from_tile_major(fw_blocked(to_tile_major(d, b)), n), ref)
-    assert np.array_equal(ref, scipy_fw(d))
+    assert np.array_equal(ref, scipy_closure(d))
 
 
 # A 3-cycle of 16,000 per edge with an INF diagonal: each vertex's distance to
@@ -78,18 +88,6 @@ def padded_graphs(draw):
         cycle = rng.choice(n, 3, replace=False)
         d[np.ix_(cycle, cycle)] = CYCLE
     return d.astype(np.uint32), b
-
-
-def scipy_closure(d):
-    """scipy's distances, zero weights kept as edges, with each diagonal
-    entry the shortest closed walk through its vertex, min over j of
-    d[i, j] + dist(j, i), as Floyd-Warshall leaves it."""
-    f = d.astype(np.float64)
-    f[d == INF] = np.inf
-    dist = floyd_warshall(csgraph_from_dense(f, null_value=np.inf), directed=True)
-    np.fill_diagonal(dist, np.min(f + dist.T, axis=1))
-    dist[~np.isfinite(dist)] = INF
-    return np.minimum(dist, INF).astype(np.uint32)
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)

@@ -1,6 +1,7 @@
 """Timeline construction: dependencies, serialization, totals, determinism."""
 
 import dataclasses
+import tracemalloc
 from collections import defaultdict, deque
 
 import numpy as np
@@ -194,6 +195,21 @@ class TestScalingProperties:
             for pe in (4, 8, 16)
         ]
         assert t == sorted(t, reverse=True)
+
+    def test_grid_memory_follows_tiles_not_bank_groups(self):
+        """m = 3 on one channel of 2^16 bank-groups: the folded grid is one
+        lap of the 9 tiles, not of the channel's 2^16 bank-groups, so past the
+        busy totals (an int64 array and its list, about 1 MiB) a simulate or
+        timeline allocates little."""
+        cfg = dataclasses.replace(default_config(), channels=1, bank_groups_per_channel=1 << 16)
+        for run in (simulate, timeline):
+            tracemalloc.start()
+            try:
+                run(3 * 4, 4, cfg, enforce_wavefront=False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.25 * 2**20, run.__name__
 
 
 class TestDeterminism:

@@ -84,3 +84,21 @@ def test_simulate_and_timeline_reproduce_golden():
     assert got.keys() == GOLDEN.keys()
     for key, expected in GOLDEN.items():
         assert got[key] == expected, key
+
+
+# Totals of the paper's 8,192-vertex graph at b = 64 and 128 (m = 128 and
+# 64), relaxed, captured the same way: no utilization or event hash.
+GOLDEN_N8192 = json.loads((Path(__file__).with_name("scheduler_golden_n8192.json")).read_text())
+
+
+def test_simulate_reproduces_n8192_totals():
+    got = {}
+    for name in ("default", "calibrated"):
+        for b in (64, 128):
+            r = simulate(8192, b, configs()[name], enforce_wavefront=False)
+            got[f"{name}/n8192/b{b}"] = {
+                "tiles_per_row": r.tiles_per_row, "total_cycles": r.total_cycles,
+                "total_time_ps": r.total_time_ps, "counts": dataclasses.asdict(r.counts),
+                "energy": r.energy.as_dict(), "busy": r.per_bank_group_busy,
+            }
+    assert got == GOLDEN_N8192

@@ -62,6 +62,28 @@ def test_array_scheduler_matches_reference(run):
     assert_matches_reference(*run)
 
 
+def geometry(channels, groups, **pim):
+    d = default_config()
+    return dataclasses.replace(d, channels=channels, bank_groups_per_channel=groups,
+                               pim=dataclasses.replace(d.pim, **pim))
+
+
+@pytest.mark.parametrize("run", [
+    (5 * 4, 4, geometry(8, 4)),            # m^2 = 25 < 32 bank-groups: one lap of 28
+    (7 * 3 - 1, 3, geometry(8, 4)),        # 49 tiles in laps of 32: the last ragged
+    (8 * 2, 2, geometry(2, 4)),            # m = G = 8: each wavefront column on one group
+    (16 * 2 - 1, 2, geometry(2, 4, broadcast_overlap=False, bulk_load_cycles=5000)),  # m = 2G
+    (6 * 3, 3, geometry(1, 5)),            # one channel
+    (9 * 2 - 1, 2, geometry(6, 1)),        # one bank-group per channel
+    (3 * 4, 4, geometry(2, 16)),           # 9 tiles in one channel of 16
+    (7 * 3, 3, geometry(2, 4, row_pass_setup_cycles=1 << 31)),  # rounds past int32
+], ids=["few-tiles", "ragged", "m-is-G", "2G-no-overlap", "one-channel", "g-is-1",
+        "channel-wider-than-grid", "int64-grid"])
+def test_fold_edges_match_reference(run):
+    """The folded grid's edge cases, against the reference."""
+    assert_matches_reference(*run)
+
+
 @pytest.mark.parametrize("updates, sizes", [
     (1, [1] * 7),         # one round per group
     (3 * 49, [3, 3, 1]),  # a ragged last group
@@ -70,17 +92,17 @@ def test_rounds_batched_across_groups_match_reference(monkeypatch, updates, size
     """m = 7 rounds split into several groups: each group's round starts
     continue the previous group's, and its busy and TSV sums add to them."""
     monkeypatch.setattr(scheduler, "_GROUP_UPDATES", updates)
-    ranked = []
-    ranks = scheduler._ranks
+    folded = []
+    fold = scheduler._fold
 
-    def spy(keys):
-        ranked.append(len(keys))
-        return ranks(keys)
+    def spy(values, period):
+        folded.append(len(values))
+        return fold(values, period)
 
-    monkeypatch.setattr(scheduler, "_ranks", spy)
+    monkeypatch.setattr(scheduler, "_fold", spy)
     d = default_config()
     simulate(7 * 5, 5, d, enforce_wavefront=False)
-    assert ranked[::3] == sizes  # three scans per group, each (rounds, updates)
+    assert folded[::2] == sizes  # two folds per group, row and column tiles, each (rounds, m)
     for cfg in (d, dataclasses.replace(d, channels=1, bank_groups_per_channel=3),
                 dataclasses.replace(d, pim=dataclasses.replace(d.pim, bulk_load_cycles=5000,
                                                                broadcast_overlap=False))):
@@ -90,10 +112,8 @@ def test_rounds_batched_across_groups_match_reference(monkeypatch, updates, size
 @pytest.mark.parametrize("channels, groups", [(256, 256), (1, 1 << 16)])
 def test_max_bank_groups_match_reference(monkeypatch, channels, groups):
     """MAX_BANK_GROUPS bank-groups at m = 3, by default and with all three
-    rounds in one group. One channel of 2^16 bank-groups then puts the
-    composite keys round * width + bank-group past 2^16, where the uint16
-    radix sort of _ranks stays exact only because keys that share a residue
-    belong to different rounds."""
+    rounds in one group: 9 tiles on as many bank-groups, in one channel
+    of 256 or of 2^16 of them, so the grid is one lap of 9."""
     d = default_config()
     cfg = dataclasses.replace(d, channels=channels, bank_groups_per_channel=groups)
     assert cfg.total_bank_groups == MAX_BANK_GROUPS
