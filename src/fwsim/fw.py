@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import INF, TiledMatrix
+from .graphs import INF, _tile_grid
 
 # Bytes per band of rows relaxed at once by _relax (at least one row): band
 # plus kernel scratch take 512 KiB, one core's L2 on the AMD EPYC.
@@ -198,8 +198,8 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
     return _closure(d, n, steps)
 
 
-def fw_blocked(t: TiledMatrix) -> TiledMatrix:
-    """Blocked Floyd-Warshall over a tiled matrix, on one row-major copy d.
+def fw_blocked(tiles: np.ndarray) -> np.ndarray:
+    """Blocked Floyd-Warshall over (m, m, b, b) tiles, on one row-major copy d.
 
     Round k, K the rows and columns of pivot tile k, P = d[K, K], R = d[K]:
     one aliased _minplus runs FW steps K on rows K alone, which read only
@@ -214,10 +214,11 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
     _pivot_order (score-0 and padding vertices first) for the rounds, so the
     dense core falls in the last ones; unless the first b pivots' fill (at
     most the sum of their scores) reaches n * m entries, one per row and
-    round, so that every round sweeps anyway. Returns tiles that view the
-    row-major result, equal to fw_reference's.
+    round, so that every round sweeps anyway. Returns an (m, m, b, b) view
+    of the row-major result, equal to fw_reference's.
     """
-    n, b, m = t.n, t.b, t.m
+    m, b = _tile_grid(tiles)
+    n = m * b
 
     def rounds(d: np.ndarray, spare) -> None:
         order, score = _pivot_order(d) if spare is not None and m > 1 else (None, None)
@@ -233,5 +234,5 @@ def fw_blocked(t: TiledMatrix) -> TiledMatrix:
         if permute:
             order = np.argsort(order)
             np.take(np.take(d, order, 0, spare, "clip"), order, 1, d, "clip")
-    d = _closure(t.tiles.swapaxes(1, 2), n, rounds)
-    return TiledMatrix(n, b, m, d.reshape(m, b, m, b).swapaxes(1, 2))
+    d = _closure(tiles.swapaxes(1, 2), n, rounds)
+    return d.reshape(m, b, m, b).swapaxes(1, 2)

@@ -153,45 +153,22 @@ def build_distance_matrix(e: EdgeList) -> np.ndarray:
     n = e.num_vertices
     d = np.full((n, n), INF, dtype=np.uint32)
     np.fill_diagonal(d, 0)
-    if len(e.edges):
-        np.minimum.at(d, (e.edges[:, 0], e.edges[:, 1]), e.edges[:, 2])
-        np.fill_diagonal(d, 0)
+    np.minimum.at(d, (e.edges[:, 0], e.edges[:, 1]), e.edges[:, 2])
     return d
 
 
-@dataclass(frozen=True, eq=False)
-class TiledMatrix:
-    """A distance matrix in tile-major layout.
-
-    tiles has shape (m, m, b, b); n = m * b is the padded dimension. Padded
-    rows/columns are INF off-diagonal and 0 on-diagonal, so padding never
-    changes any original shortest path.
-    """
-
-    n: int
-    b: int
-    m: int
-    tiles: np.ndarray
-
-    def __post_init__(self):
-        if self.n != self.m * self.b:
-            raise ConfigError("padded dimension must equal m * b")
-        if self.tiles.shape != (self.m, self.m, self.b, self.b):
-            raise ConfigError("tile grid shape mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, TiledMatrix):
-            return NotImplemented
-        return (
-            (self.n, self.b, self.m) == (other.n, other.b, other.m)
-            and np.array_equal(self.tiles, other.tiles)
-        )
+def _tile_grid(tiles: np.ndarray) -> tuple[int, int]:
+    """(m, b) of an (m, m, b, b) tile-major array; ConfigError for any other."""
+    shape = tiles.shape
+    if len(shape) != 4 or shape != (shape[0], shape[0], shape[3], shape[3]):
+        raise ConfigError(f"tiles must have shape (m, m, b, b), got {shape}")
+    return shape[0], shape[3]
 
 
-def to_tile_major(d: np.ndarray, block_size: int) -> TiledMatrix:
-    """Re-layout a square matrix into b x b tiles, padding n up to a multiple
-    of b with path-neutral rows/columns (INF off-diagonal, 0 on-diagonal).
-    The tiles view a padded row-major copy of d, not d itself."""
+def to_tile_major(d: np.ndarray, block_size: int) -> np.ndarray:
+    """Re-layout a square matrix into an (m, m, b, b) array of b x b tiles,
+    padding n up to m * b with path-neutral rows/columns (INF off-diagonal,
+    0 on-diagonal). The tiles view a padded row-major copy of d, not d itself."""
     if block_size < 1:
         raise ConfigError("block size must be >= 1")
     n0 = d.shape[0]
@@ -202,15 +179,15 @@ def to_tile_major(d: np.ndarray, block_size: int) -> TiledMatrix:
     padded = np.full((n, n), INF, dtype=np.uint32)
     np.fill_diagonal(padded, 0)
     padded[:n0, :n0] = d
-    tiles = padded.reshape(m, block_size, m, block_size).swapaxes(1, 2)
-    return TiledMatrix(n=n, b=block_size, m=m, tiles=tiles)
+    return padded.reshape(m, block_size, m, block_size).swapaxes(1, 2)
 
 
-def from_tile_major(t: TiledMatrix, original_n: int) -> np.ndarray:
+def from_tile_major(tiles: np.ndarray, original_n: int) -> np.ndarray:
     """Exact inverse of to_tile_major restricted to the original n x n region."""
-    if original_n > t.n:
+    m, b = _tile_grid(tiles)
+    if original_n > m * b:
         raise ConfigError(
-            f"original_n {original_n} exceeds the tiled dimension {t.n}"
+            f"original_n {original_n} exceeds the tiled dimension {m * b}"
         )
-    flat = t.tiles.swapaxes(1, 2).reshape(t.n, t.n)
+    flat = tiles.swapaxes(1, 2).reshape(m * b, m * b)
     return flat[:original_n, :original_n].copy()

@@ -355,15 +355,14 @@ def simulate_functional(
     d: np.ndarray,
     b: int,
     cfg: HbmConfig,
-    *,
-    enforce_wavefront: bool = True,
 ) -> tuple[np.ndarray, SimResult]:
     """Run the blocked algorithm for values and the scheduler for timing on
-    the same workload. Returns (distance matrix, SimResult)."""
+    the same workload, the scheduler with the wavefront constraint relaxed:
+    no distance depends on it. Returns (distance matrix, SimResult)."""
     n = d.shape[0]
     check_functional_size(n, b)
     tiled = to_tile_major(d, b)
-    result = simulate(n, b, cfg, enforce_wavefront=enforce_wavefront)
+    result = simulate(n, b, cfg, enforce_wavefront=False)
     return from_tile_major(fw_blocked(tiled), n), result
 
 

@@ -86,6 +86,7 @@ BAD_INPUTS = {
     "sweep-no-nodes": ["sweep", "--block-size", "8", "--param", "channels",
                        "--values", "4"],
     "sweep-not-increasing": SWEEP[:-1] + ["8,4"],
+    "sweep-values-empty": SWEEP[:-1] + [""],
     "sweep-parallel": SWEEP + ["--parallel", "2"],
     "sweep-graph": SWEEP + ["--graph", "{tmp}/missing.txt"],
     "sweep-undirected": SWEEP + ["--undirected"],

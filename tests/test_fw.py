@@ -393,13 +393,14 @@ class TestWidth:
     def test_blocked(self, name, whole, widths):
         d, tried = self.CASES[name]
         n = len(d)
-        t = to_tile_major(d, max(n, 1) if whole else 1)
-        assert t.n == max(n, 1)
+        padded = max(n, 1)
+        t = to_tile_major(d, padded if whole else 1)
+        assert t.shape == ((1, 1, padded, padded) if whole else (padded, padded, 1, 1))
         out = fw_blocked(t)
         assert widths == [tried]
-        assert out.tiles.dtype == np.uint32
+        assert out.shape == t.shape and out.dtype == np.uint32
         assert np.array_equal(from_tile_major(out, n), scalar_fw(d))
-        assert np.array_equal(out.tiles, naive_blocked(t))
+        assert np.array_equal(out, naive_blocked(t))
 
 
 class TestTileKernels:
@@ -457,10 +458,10 @@ def naive_blocked(t):
     """Blocked FW one tile at a time, in the four phases of each round (pivot,
     pivot row, pivot column, wavefront); used to pin fw_blocked, which folds
     the pivot column into its row bands."""
-    tiles = t.tiles.copy()
-    for k in range(t.m):
+    tiles = t.copy()
+    for k in range(len(t)):
         tiles[k, k] = fw_reference(tiles[k, k])
-        others = [x for x in range(t.m) if x != k]
+        others = [x for x in range(len(t)) if x != k]
         for j in others:
             tiles[k, j] = tile_minplus_update(tiles[k, j], tiles[k, k], tiles[k, j])
         for i in others:
@@ -554,7 +555,7 @@ class TestBlocked:
         t = to_tile_major(d, 12)
         out = fw_blocked(t)
         assert np.array_equal(from_tile_major(out, 12), fw_reference(d))
-        trace = full_trace(t.m)
+        trace = full_trace(len(t))
         assert len(trace) == 1
         assert trace[0].phase is TilePhase.PIVOT_FW
 
@@ -576,7 +577,7 @@ class TestBlocked:
             d = build_distance_matrix(gen_synthetic(n, 0.5, seed=300 + seed))
             t = to_tile_major(d, b)
             out = fw_blocked(t)
-            assert np.array_equal(out.tiles, naive_blocked(t))
+            assert np.array_equal(out, naive_blocked(t))
 
     def test_huge_weights_saturate_consistently(self):
         d = build_distance_matrix(
@@ -640,7 +641,7 @@ class TestBlocked:
             d = build_distance_matrix(gen_synthetic(n, density, seed=22))
             spy.steps.clear()
             out = fw_blocked(to_tile_major(d, 4))
-            assert out.m == 10
+            assert out.shape == (10, 10, 4, 4)
             assert [taken(step) for step in spy.steps] == paths
             assert all(step.sliced for step in spy.steps)
             assert np.array_equal(from_tile_major(out, n), fw_reference(d))
@@ -649,7 +650,7 @@ class TestBlocked:
         d = build_distance_matrix(gen_synthetic(20, 0.4, seed=21))
         t1 = fw_blocked(to_tile_major(d, 5))
         t2 = fw_blocked(t1)
-        assert t1 == t2
+        assert np.array_equal(t1, t2)
 
     @pytest.mark.parametrize("width, weights", [
         (np.uint16, (1, 100)),
@@ -659,10 +660,10 @@ class TestBlocked:
     def test_input_not_mutated(self, widths, width, weights):
         d = build_distance_matrix(gen_synthetic(24, 0.3, weight_range=weights, seed=23))
         t = to_tile_major(d, 5)
-        before = t.tiles.tobytes()
+        before = t.tobytes()
         fw_blocked(t)
         assert widths == [[width]]
-        assert t.tiles.tobytes() == before
+        assert t.tobytes() == before
 
 
 def arbitrary_matrix(rng, n, top):
@@ -701,7 +702,7 @@ class TestFold:
         for _ in range(4):
             t = to_tile_major(arbitrary_matrix(rng, n, top), b)
             widths.clear()
-            assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
+            assert np.array_equal(fw_blocked(t), naive_blocked(t))
             # widths[0] is fw_blocked's; naive_blocked's pivot tiles follow.
             assert widths[0] == [np.uint64 if largest == "INF-1" else np.uint32]
 
@@ -751,7 +752,7 @@ class TestLiveRows:
             t = to_tile_major(d, 4)
             want = naive_blocked(t)
             spy.steps.clear()
-            assert np.array_equal(fw_blocked(t).tiles, want)
+            assert np.array_equal(fw_blocked(t), want)
             paths = [taken(step) for step in spy.steps]
             assert len(paths) == 10 and paths[0] == "rows" and "bands" in paths
 
@@ -772,7 +773,7 @@ class TestLiveRows:
         assert [step.pivots for step in spy.steps] == [[6], [1]]
         for b in (1, 2, 3):
             out = fw_blocked(to_tile_major(d, b))
-            assert np.array_equal(out.tiles, naive[b])
+            assert np.array_equal(out, naive[b])
             assert np.array_equal(from_tile_major(out, 8), want)
         assert "bands" not in [taken(step) for step in spy.steps]
 
@@ -799,8 +800,8 @@ class TestLiveRows:
             t = to_tile_major(d, b)
             want = naive_blocked(t)
             spy.steps.clear()
-            assert np.array_equal(fw_blocked(t).tiles, want)
-            assert len(spy.steps) == (t.m if t.m > 1 else 0)
+            assert np.array_equal(fw_blocked(t), want)
+            assert len(spy.steps) == (len(t) if len(t) > 1 else 0)
             assert "bands" not in [taken(step) for step in spy.steps]
 
     @pytest.mark.parametrize("diagonal", [0, 5, INF], ids=["zero", "positive", "INF"])
@@ -821,7 +822,7 @@ class TestLiveRows:
         assert kept_pivots(d) == [0, 2, 1]
         for b in (1, 3):
             t = to_tile_major(d, b)
-            assert np.array_equal(fw_blocked(t).tiles, naive_blocked(t))
+            assert np.array_equal(fw_blocked(t), naive_blocked(t))
 
     def test_relaxed_row_count(self, spy):
         # fw_reference skips 76 of the 512 pivots. Of the other 436, 218 run
@@ -888,8 +889,8 @@ class TestLiveRows:
             t = to_tile_major(d, b)
             want = naive_blocked(t)
             spy.steps.clear()
-            assert np.array_equal(fw_blocked(t).tiles, want)
-            half = t.m // 2
+            assert np.array_equal(fw_blocked(t), want)
+            half = len(t) // 2
             dead, swept = (0, half) if width == "uint16" else (half, 0)
             assert taken(spy.steps[swept]) == "bands"
             assert [step.relaxed for step in spy.steps[dead:dead + half]] == [0] * half
@@ -937,7 +938,7 @@ class TestPaths:
             assert np.array_equal(fw_reference(d), want), path
             assert batched(spy.steps, d)
             for b, tiles in naive.items():
-                assert np.array_equal(fw_blocked(to_tile_major(d, b)).tiles, tiles), (path, b)
+                assert np.array_equal(fw_blocked(to_tile_major(d, b)), tiles), (path, b)
             assert widths == [[getattr(np, width)]] * 5
             assert all(step.relaxed == relaxed_by(step, path) for step in spy.steps)
 
@@ -1025,12 +1026,13 @@ class TestCheck:
         naive = naive_blocked(t)
         widths.clear()
         assert np.array_equal(fw_reference(d), want)
-        assert np.array_equal(fw_blocked(t).tiles, naive)
+        assert np.array_equal(fw_blocked(t), naive)
         w = int(d[0, 1])
         longest = int(np.max(want, where=want != INF, initial=0))
         assert widths[0] == [np.uint16] + ([] if longest + w < CAP16 else [np.uint32])
-        # Padding to t.n vertices may lift w * t.n.bit_length() to the cap.
-        assert widths[1] == (widths[0] if w * t.n.bit_length() < CAP16 else [np.uint32])
+        # Padding to m * b vertices may lift w * (m * b).bit_length() to the cap.
+        padded = len(t) * t.shape[2]
+        assert widths[1] == (widths[0] if w * padded.bit_length() < CAP16 else [np.uint32])
 
     def test_long_path_widens(self, widths):
         # 399 edges of 100: the longest distance, 39,900, is past 2^15 - 1,
@@ -1045,6 +1047,6 @@ class TestCheck:
         widths.clear()
         assert np.array_equal(fw_reference(d), want)
         out = fw_blocked(t)
-        assert np.array_equal(out.tiles, naive)
+        assert np.array_equal(out, naive)
         assert np.array_equal(from_tile_major(out, n), want)
         assert widths == [[np.uint16, np.uint32]] * 2

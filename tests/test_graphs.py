@@ -9,6 +9,7 @@ from fwsim import (
     INF,
     build_distance_matrix,
     from_tile_major,
+    fw_blocked,
     fw_reference,
     gen_synthetic,
     parse_edge_list,
@@ -114,6 +115,16 @@ class TestBuildMatrix:
         assert d.dtype == np.uint32
         assert (np.diag(d) == 0).all()
 
+    @pytest.mark.parametrize("num_vertices, edges", [
+        (-1, []),
+        (3, [(0, 3, 1)]),
+        (3, [(0, 1, INF)]),
+        (3, [(1, 1, 4)]),
+    ], ids=["negative-vertices", "endpoint-out-of-range", "weight-at-inf", "self-loop"])
+    def test_edge_list_refuses_bad_input(self, num_vertices, edges):
+        with pytest.raises(ConfigError):
+            graphs.EdgeList(num_vertices, np.array(edges, dtype=np.uint64))
+
 
 class TestGenSynthetic:
     def test_full_density_complete_digraph(self):
@@ -191,15 +202,15 @@ class TestTiling:
     def test_layout_definition(self):
         d = build_distance_matrix(gen_synthetic(4, 1.0, seed=5))
         t = to_tile_major(d, 2)
-        assert (t.m, t.b, t.n) == (2, 2, 4)
-        assert t.tiles[0, 1][0, 0] == d[0, 2]
-        assert t.tiles[1, 0][1, 1] == d[3, 1]
+        assert t.shape == (2, 2, 2, 2)
+        assert t[0, 1][0, 0] == d[0, 2]
+        assert t[1, 0][1, 1] == d[3, 1]
 
     def test_padding_rule(self):
         d = build_distance_matrix(gen_synthetic(5, 0.7, seed=6))
         t = to_tile_major(d, 4)
-        assert t.n == 8
-        flat = t.tiles.swapaxes(1, 2).reshape(8, 8)
+        assert t.shape == (2, 2, 4, 4)
+        flat = t.swapaxes(1, 2).reshape(8, 8)
         assert flat[6, 6] == 0
         assert flat[6, 7] == INF
         assert flat[7, 2] == INF
@@ -218,13 +229,20 @@ class TestTiling:
     def test_tiles_do_not_alias_input(self, n, b):
         d = build_distance_matrix(gen_synthetic(n, 0.5, seed=8))
         before = d.copy()
-        to_tile_major(d, b).tiles[...] = 7
+        to_tile_major(d, b)[...] = 7
         assert np.array_equal(d, before)
 
     def test_from_tile_major_dimension_error(self):
         t = to_tile_major(np.zeros((4, 4), dtype=np.uint32), 2)
         with pytest.raises(ConfigError):
             from_tile_major(t, 5)
+        # A (2, 4, 4, 2) array holds 8 x 8 entries, as (2, 2, 4, 4) tiles do,
+        # and a 2-D one could pass for the padded matrix: both are refused.
+        for bad in (np.zeros((2, 4, 4, 2), np.uint32), np.zeros((8, 8), np.uint32)):
+            with pytest.raises(ConfigError):
+                from_tile_major(bad, 8)
+            with pytest.raises(ConfigError):
+                fw_blocked(bad)
 
     def test_block_size_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -236,6 +254,6 @@ class TestTiling:
         for seed, n, b in [(0, 9, 4), (1, 30, 8), (2, 64, 3), (3, 17, 8)]:
             d = build_distance_matrix(gen_synthetic(n, 0.3, seed=seed))
             t = to_tile_major(d, b)
-            padded = t.tiles.swapaxes(1, 2).reshape(t.n, t.n)
+            padded = t.swapaxes(1, 2).reshape(len(t) * b, len(t) * b)
             got = fw_reference(padded)[:n, :n]
             assert np.array_equal(got, fw_reference(d))

@@ -131,6 +131,10 @@ class TestDefaultsAndValidation:
         {"channels": 99999999999999999999},
         {"channels": 1000000000},
         {"bank_groups_per_channel": MAX_BANK_GROUPS // 8 + 1},
+        {"pim": {"operand_bits": 0}},
+        {"pim": {"add_passes": 0}},
+        {"pim": {"cpe_base_cycles": -1}},
+        {"pim": {"bulk_load_cycles": -1}},
     ], ids=repr)
     def test_out_of_range_values(self, doc):
         cfg = config_from_dict(doc)

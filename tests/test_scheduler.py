@@ -247,11 +247,14 @@ class TestWavefrontEnforcement:
 
 class TestFunctional:
     def test_matches_reference_and_timing(self):
+        # At n = 256, b = 8, m = 32 > G / 2 = 16 stages more tiles than the
+        # wavefront constraint allows; the functional run schedules it relaxed.
         cfg = default_config()
-        d = build_distance_matrix(gen_synthetic(64, 0.5, seed=44))
-        got, sim = simulate_functional(d, 16, cfg)
-        assert np.array_equal(got, fw_reference(d))
-        assert sim == simulate(64, 16, cfg)
+        for n, b in [(64, 16), (256, 8)]:
+            d = build_distance_matrix(gen_synthetic(n, 0.5, seed=44))
+            got, sim = simulate_functional(d, b, cfg)
+            assert np.array_equal(got, fw_reference(d))
+            assert sim == simulate(n, b, cfg, enforce_wavefront=False)
 
     def test_single_tile(self):
         cfg = default_config()
@@ -272,8 +275,8 @@ class TestFunctional:
         monkeypatch.setattr(scheduler, "FUNCTIONAL_GUARD", 8)
         d = np.zeros((8, 8), dtype=np.uint32)
         with pytest.raises(GuardError):
-            simulate_functional(d, 3, default_config(), enforce_wavefront=False)
-        got, _ = simulate_functional(d, 4, default_config(), enforce_wavefront=False)
+            simulate_functional(d, 3, default_config())
+        got, _ = simulate_functional(d, 4, default_config())
         assert np.array_equal(got, d)
 
     def test_unreachable_pairs_stay_inf(self):
@@ -283,7 +286,7 @@ class TestFunctional:
         cfg = default_config()
         e = gen_synthetic(40, 0.04, seed=46)
         d = build_distance_matrix(e)
-        got, _ = simulate_functional(d, 8, cfg, enforce_wavefront=False)
+        got, _ = simulate_functional(d, 8, cfg)
 
         adj = defaultdict(list)
         for u, v, _w in e.edges:
