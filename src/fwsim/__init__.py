@@ -19,7 +19,6 @@ from .hbm import (
     HbmConfig,
     default_config,
     load_config,
-    validate_config,
 )
 from .perf import (
     OpCounts,
@@ -51,7 +50,6 @@ __all__ = [
     "fw_reference",
     "default_config",
     "load_config",
-    "validate_config",
     "bpe_minplus_cycles",
     "cpe_reduction_cost",
     "energy_of",

@@ -23,7 +23,7 @@ from .fw import fw_reference
 from .graphs import build_distance_matrix, gen_synthetic, load_edge_list
 from .hbm import HbmConfig, config_to_dict, load_config
 from .scheduler import (SimResult, check_functional_size, simulate, simulate_functional,
-                        utilization_report)
+                        tiles_per_row, utilization_report)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,12 +85,22 @@ def _workload_from_args(args) -> tuple[int, str | None]:
     return args.nodes, None
 
 
+def _simulate(n: int, b: int, cfg: HbmConfig, relax_wavefront: bool) -> SimResult:
+    """simulate(), refused unless relax_wavefront when the pivot-row/column
+    wavefront stages more tiles, 2M for M tiles per row, than the stack has
+    bank-groups. The scheduler models such a run; the paper's design avoids it."""
+    m = tiles_per_row(n, b)
+    if 2 * m > cfg.total_bank_groups and not relax_wavefront:
+        raise ConfigError(f"parallelism constraint violated: the wavefront stages "
+                          f"2M = {2 * m} pivot-row/column tiles but the stack "
+                          f"has only C*G = {cfg.total_bank_groups} bank-groups")
+    return simulate(n, b, cfg)
+
+
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
     n, graph_path = _workload_from_args(args)
-    result = simulate(
-        n, args.block_size, cfg, enforce_wavefront=not args.relax_wavefront
-    )
+    result = _simulate(n, args.block_size, cfg, args.relax_wavefront)
     _write_text(args.out, _json_dumps(build_report(result, cfg, graph_path)))
     return EXIT_OK
 
@@ -168,8 +178,7 @@ def cmd_sweep(args) -> int:
 
     points = [_sweep_point(args.param, v, cfg, args.nodes, args.block_size)
               for v in values]
-    results = [simulate(n, b, point_cfg, enforce_wavefront=not args.relax_wavefront)
-               for point_cfg, n, b in points]
+    results = [_simulate(n, b, point_cfg, args.relax_wavefront) for point_cfg, n, b in points]
 
     rows = []
     base_time = results[0].total_time_seconds
@@ -229,12 +238,14 @@ def cmd_compare(args) -> int:
             calibrated = json.load(fh)["calibrated"]
         sim_seconds = calibrated["total_time_seconds"]
         sim_joules = calibrated["energy_joules"]
-        valid = sim_seconds > 0 and sim_joules >= 0
+        # As for the flags; JSON true would compare as 1.
+        valid = (0 < sim_seconds < math.inf and 0 <= sim_joules < math.inf
+                 and bool not in (type(sim_seconds), type(sim_joules)))
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"{args.report} is not a run report: {exc!r}") from None
     if not valid:
-        raise ConfigError(f"{args.report}: the simulated time must be positive "
-                          "and the energy non-negative")
+        raise ConfigError(f"{args.report}: the simulated time must be finite and positive "
+                          "and the energy finite and non-negative")
     out = {
         "baseline": {
             "name": args.baseline_name,

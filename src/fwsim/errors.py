@@ -19,9 +19,5 @@ class ConfigError(FwsimError, ValueError):
     """Invalid hardware configuration, workload parameter, or sweep spec."""
 
 
-class ConstraintViolation(ConfigError):
-    """The wavefront staging constraint (2M <= total bank-groups) is violated."""
-
-
 class GuardError(FwsimError, RuntimeError):
     """A problem size exceeds a guard intended to keep a code path tractable."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .graphs import INF, _tile_grid
 
 # Bytes per band of rows relaxed at once by _relax (at least one row): band
@@ -33,7 +34,11 @@ _CALL = 32_768
 def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
     """uint32 n x n result of loop(work, spare), which closes a C-ordered n x n
     working copy of d (n^2 entries) in place, at the narrowest exact width;
-    spare is an idle n x n array of work's dtype, or None."""
+    spare is an idle n x n array of work's dtype, or None. d must be uint32,
+    as the working copy is cast from it unchecked: -1 would wrap, 3.7 would
+    truncate and 2^40 would read as INF."""
+    if d.dtype != np.uint32:
+        raise ConfigError(f"distance matrices must be uint32, got {d.dtype}")
     w = int(np.max(d, where=d != INF, initial=0))
     for dtype, cap in _CAPS.items():
         if w * n.bit_length() < cap or cap == INF:
@@ -178,7 +183,7 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
     """
     n = d.shape[0]
     if d.shape != (n, n):
-        raise ValueError("distance matrix must be square")
+        raise ConfigError("distance matrix must be square")
 
     def steps(out: np.ndarray, _) -> None:
         order, score = _pivot_order(out)

@@ -172,8 +172,8 @@ def to_tile_major(d: np.ndarray, block_size: int) -> np.ndarray:
     if block_size < 1:
         raise ConfigError("block size must be >= 1")
     n0 = d.shape[0]
-    if d.shape != (n0, n0):
-        raise ConfigError("distance matrix must be square")
+    if d.shape != (n0, n0) or d.dtype != np.uint32:
+        raise ConfigError(f"distance matrix must be square uint32, got {d.shape} {d.dtype}")
     m = max(1, -(-n0 // block_size))
     n = m * block_size
     padded = np.full((n, n), INF, dtype=np.uint32)
@@ -185,9 +185,7 @@ def to_tile_major(d: np.ndarray, block_size: int) -> np.ndarray:
 def from_tile_major(tiles: np.ndarray, original_n: int) -> np.ndarray:
     """Exact inverse of to_tile_major restricted to the original n x n region."""
     m, b = _tile_grid(tiles)
-    if original_n > m * b:
-        raise ConfigError(
-            f"original_n {original_n} exceeds the tiled dimension {m * b}"
-        )
+    if not 0 <= original_n <= m * b:
+        raise ConfigError(f"original_n {original_n} is outside the tiled dimension [0, {m * b}]")
     flat = tiles.swapaxes(1, 2).reshape(m * b, m * b)
     return flat[:original_n, :original_n].copy()

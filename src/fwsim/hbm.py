@@ -1,11 +1,12 @@
 """Simulated hardware description: HBM3 geometry, timing and energy constants,
 and processing-element model knobs. The scheduler maps tiles to bank-groups.
 
-Configs are immutable after validation and freely shareable. Durations are
-float nanoseconds (TimingParams) and the logic clock integer picoseconds;
-HbmConfig.cycles_from_ns rounds a duration to whole picoseconds at each use,
-then up to whole cycles. JSON config files annotate units in the field names
-(t_rc_ns, clock_period_ps, ...).
+A config is checked when it is built, by HbmConfig.__post_init__, which
+dataclasses.replace and config_from_dict run too, and is immutable and freely
+shareable. Durations are float nanoseconds (TimingParams) and the logic clock
+integer picoseconds; HbmConfig.cycles_from_ns rounds a duration to whole
+picoseconds at each use, then up to whole cycles. JSON config files annotate
+units in the field names (t_rc_ns, clock_period_ps, ...).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, ConstraintViolation
+from .errors import ConfigError
 
 # Bank-groups a config may declare (channels * bank_groups_per_channel): the
 # scheduler keeps per-group state. The modeled 8-channel stack has 32.
@@ -89,6 +90,37 @@ class HbmConfig:
     energy: EnergyParams = field(default_factory=EnergyParams)
     pim: PimParams = field(default_factory=PimParams)
 
+    def __post_init__(self):
+        """Refuse a config the scheduler cannot model: a count below 1, more
+        than MAX_BANK_GROUPS bank-groups, inconsistent timings, or a float
+        that does not scale to an int."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not dataclasses.is_dataclass(value) and value < 1:
+                raise ConfigError(f"{f.name} must be >= 1, got {value}")
+        if self.total_bank_groups > MAX_BANK_GROUPS:
+            raise ConfigError(f"channels * bank_groups_per_channel must be <= "
+                              f"{MAX_BANK_GROUPS}, got {self.total_bank_groups}")
+        # Every float is scaled by 1000 (ns to ps, pJ to fJ) and rounded to an
+        # int, so NaN, infinity and values whose scaled form overflows are rejected.
+        for prefix, section in (("timing", self.timing), ("energy", self.energy)):
+            for f in dataclasses.fields(section):
+                value = getattr(section, f.name)
+                if not (value >= 0 and math.isfinite(value * 1000)):
+                    raise ConfigError(
+                        f"{prefix}.{f.name} must be finite and non-negative, got {value}")
+        t = self.timing
+        if t.t_ras > t.t_rc:
+            raise ConfigError(f"t_ras ({t.t_ras}) must not exceed t_rc ({t.t_rc})")
+        if t.t_rcd > t.t_ras:
+            raise ConfigError(f"t_rcd ({t.t_rcd}) must not exceed t_ras ({t.t_ras})")
+        p = self.pim
+        if p.operand_bits < 1 or p.add_passes < 1:
+            raise ConfigError("pim.operand_bits and pim.add_passes must be >= 1")
+        if min(p.row_pass_setup_cycles, p.cpe_base_cycles, p.cpe_stage_cycles,
+               p.bulk_load_cycles) < 0:
+            raise ConfigError("pim cycle constants must be non-negative")
+
     @property
     def total_bank_groups(self) -> int:
         return self.channels * self.bank_groups_per_channel
@@ -107,50 +139,6 @@ def default_config() -> HbmConfig:
     """The baseline stack: 8 channels x 4 bank-groups, 256 PEs per bank-group
     (16 banks x 16 PEs), 1024 TSV lanes, 1 ns logic cycle."""
     return HbmConfig()
-
-
-def validate_config(cfg: HbmConfig, tiles_per_row: int) -> None:
-    """Check structural invariants and the wavefront staging constraint.
-
-    The pivot-row/column wavefront stages 2M tiles simultaneously, so a run
-    with M tiles per row needs 2M <= total bank-groups; violations raise
-    ConstraintViolation naming both quantities.
-    """
-    c = cfg
-    for f in dataclasses.fields(c):
-        value = getattr(c, f.name)
-        if not dataclasses.is_dataclass(value) and value < 1:
-            raise ConfigError(f"{f.name} must be >= 1, got {value}")
-    if c.total_bank_groups > MAX_BANK_GROUPS:
-        raise ConfigError(f"channels * bank_groups_per_channel must be <= "
-                          f"{MAX_BANK_GROUPS}, got {c.total_bank_groups}")
-    # Every float is scaled by 1000 (ns to ps, pJ to fJ) and rounded to an int,
-    # so NaN, infinity and values whose scaled form overflows are rejected.
-    for prefix, section in (("timing", c.timing), ("energy", c.energy)):
-        for f in dataclasses.fields(section):
-            value = getattr(section, f.name)
-            if not (value >= 0 and math.isfinite(value * 1000)):
-                raise ConfigError(
-                    f"{prefix}.{f.name} must be finite and non-negative, got {value}")
-    t = c.timing
-    if t.t_ras > t.t_rc:
-        raise ConfigError(f"t_ras ({t.t_ras}) must not exceed t_rc ({t.t_rc})")
-    if t.t_rcd > t.t_ras:
-        raise ConfigError(f"t_rcd ({t.t_rcd}) must not exceed t_ras ({t.t_ras})")
-    p = c.pim
-    if p.operand_bits < 1 or p.add_passes < 1:
-        raise ConfigError("pim.operand_bits and pim.add_passes must be >= 1")
-    if min(p.row_pass_setup_cycles, p.cpe_base_cycles, p.cpe_stage_cycles,
-           p.bulk_load_cycles) < 0:
-        raise ConfigError("pim cycle constants must be non-negative")
-    if tiles_per_row < 1:
-        raise ConfigError(f"tiles per row must be >= 1, got {tiles_per_row}")
-    if 2 * tiles_per_row > c.total_bank_groups:
-        raise ConstraintViolation(
-            f"parallelism constraint violated: the wavefront stages "
-            f"2M = {2 * tiles_per_row} pivot-row/column tiles but the stack "
-            f"has only C*G = {c.total_bank_groups} bank-groups"
-        )
 
 
 # --- JSON config files -----------------------------------------------------
@@ -197,8 +185,8 @@ def _from_dict(cls, data, section: str):
 
 
 def config_from_dict(data: dict) -> HbmConfig:
-    """Build a config from a (possibly partial) dict; unknown keys and values
-    of the wrong type are rejected.
+    """Build a config from a (possibly partial) dict; unknown keys, values of
+    the wrong type and configs HbmConfig refuses are rejected.
 
     Missing keys fall back to the defaults, so calibration files only need to
     state the constants they override.

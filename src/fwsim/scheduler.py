@@ -53,10 +53,10 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ConfigError, ConstraintViolation, GuardError
+from .errors import ConfigError, GuardError
 from .fw import fw_blocked
 from .graphs import from_tile_major, to_tile_major
-from .hbm import HbmConfig, validate_config
+from .hbm import HbmConfig
 from .perf import (
     EnergyBreakdown,
     OpCounts,
@@ -140,10 +140,9 @@ def _fold(values: np.ndarray, period: int) -> np.ndarray:
     return np.cumsum(padded.reshape(len(values), -1, period), axis=1)
 
 
-def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
-         keep_events: bool) -> tuple[SimResult, np.ndarray | None]:
-    """Validate, charge the bulk load, then chain the pivot rounds, each
-    starting when the previous one's last event ends. With keep_events, each
+def _run(n: int, b: int, cfg: HbmConfig, keep_events: bool) -> tuple[SimResult, np.ndarray | None]:
+    """Check the size guards, charge the bulk load, then chain the pivot rounds,
+    each starting when the previous one's last event ends. With keep_events, each
     group of rounds fills its slice of one preallocated EVENT array, field by field.
 
     Every tile update, the pivot's in-tile FW included, charges the
@@ -155,11 +154,6 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     if m > TIMING_GUARD:
         raise GuardError(f"the timing model is guarded at m <= {TIMING_GUARD} tiles per row "
                          f"(n={n} at b={b} gives m={m}); its cost grows as m^3")
-    try:
-        validate_config(cfg, m)
-    except ConstraintViolation:
-        if enforce_wavefront:
-            raise
     g = cfg.bank_groups_per_channel
     # The pivot's in-tile FW is b dependent steps of b row-passes: the same
     # serialization as a tile update, so it is charged the same quote.
@@ -325,21 +319,19 @@ def _run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
                      per_bank_group_busy=busy.tolist()), events
 
 
-def simulate(n: int, b: int, cfg: HbmConfig, *,
-             enforce_wavefront: bool = True) -> SimResult:
+def simulate(n: int, b: int, cfg: HbmConfig) -> SimResult:
     """Simulate blocked FW on an n-vertex graph with b x b tiles.
 
     Purely analytic: runtime scales with the number of tiles, not n^3.
     Deterministic: identical inputs produce identical results.
     """
-    return _run(n, b, cfg, enforce_wavefront, False)[0]
+    return _run(n, b, cfg, False)[0]
 
 
-def timeline(n: int, b: int, cfg: HbmConfig, *,
-             enforce_wavefront: bool = True) -> np.ndarray:
+def timeline(n: int, b: int, cfg: HbmConfig) -> np.ndarray:
     """Every event of the run that simulate() totals, as one EVENT record
     array in emission order (see the module docstring)."""
-    return _run(n, b, cfg, enforce_wavefront, True)[1]
+    return _run(n, b, cfg, True)[1]
 
 
 def check_functional_size(n: int, b: int) -> None:
@@ -357,12 +349,11 @@ def simulate_functional(
     cfg: HbmConfig,
 ) -> tuple[np.ndarray, SimResult]:
     """Run the blocked algorithm for values and the scheduler for timing on
-    the same workload, the scheduler with the wavefront constraint relaxed:
-    no distance depends on it. Returns (distance matrix, SimResult)."""
+    the same workload. Returns (distance matrix, SimResult)."""
     n = d.shape[0]
     check_functional_size(n, b)
     tiled = to_tile_major(d, b)
-    result = simulate(n, b, cfg, enforce_wavefront=False)
+    result = simulate(n, b, cfg)
     return from_tile_major(fw_blocked(tiled), n), result
 
 

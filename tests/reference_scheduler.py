@@ -16,8 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from fwsim.errors import ConstraintViolation
-from fwsim.hbm import HbmConfig, validate_config
+from fwsim.hbm import HbmConfig
 from fwsim.perf import (
     CostQuote,
     OpCounts,
@@ -118,17 +117,11 @@ def full_trace(m: int) -> list[TileOpRecord]:
     return trace
 
 
-def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
-        events: list[tuple] | None) -> SimResult:
-    """Validate, charge the bulk load, then chain the pivot rounds, each
-    starting when the previous one's last event ends. Every event is appended
-    to events, as a tuple in EVENT field order, when it is a list."""
+def run(n: int, b: int, cfg: HbmConfig, events: list[tuple] | None) -> SimResult:
+    """Charge the bulk load, then chain the pivot rounds, each starting when
+    the previous one's last event ends. Every event is appended to events, as
+    a tuple in EVENT field order, when it is a list."""
     m = tiles_per_row(n, b)
-    try:
-        validate_config(cfg, m)
-    except ConstraintViolation:
-        if enforce_wavefront:
-            raise
     g = cfg.bank_groups_per_channel
     bank_group = {(i, j): map_tile_to_bank_group(i, j, m, cfg.channels, g)
                   for i in range(m) for j in range(m)}
@@ -223,13 +216,11 @@ def run(n: int, b: int, cfg: HbmConfig, enforce_wavefront: bool,
     )
 
 
-def simulate(n: int, b: int, cfg: HbmConfig, *,
-             enforce_wavefront: bool = True) -> SimResult:
-    return run(n, b, cfg, enforce_wavefront, None)
+def simulate(n: int, b: int, cfg: HbmConfig) -> SimResult:
+    return run(n, b, cfg, None)
 
 
-def timeline(n: int, b: int, cfg: HbmConfig, *,
-             enforce_wavefront: bool = True) -> np.ndarray:
+def timeline(n: int, b: int, cfg: HbmConfig) -> np.ndarray:
     events: list[tuple] = []
-    run(n, b, cfg, enforce_wavefront, events)
+    run(n, b, cfg, events)
     return np.array(events, dtype=EVENT)

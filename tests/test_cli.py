@@ -32,6 +32,9 @@ def files(tmp_path):
         '{"calibrated": {"total_time_seconds": 1.0, "energy_joules": 1.0}}')
     for name, doc in CONFIG_DOCS.items():
         (tmp_path / f"{name}.json").write_text(doc)
+    for name, (seconds, joules) in REPORT_VALUES.items():
+        (tmp_path / f"report-{name}.json").write_text(
+            '{"calibrated": {"total_time_seconds": %s, "energy_joules": %s}}' % (seconds, joules))
     (tmp_path / "directory").mkdir()
     return tmp_path
 
@@ -49,6 +52,15 @@ CONFIG_DOCS = {
     "clock-period-1e400": '{"clock_period_ps": 1%s}' % ("0" * 400),
     "operand-bits-1e400": '{"pim": {"operand_bits": 1%s}}' % ("0" * 400),
     "e-activate-1e305": '{"energy": {"e_activate_pj": 1e305}}',
+}
+
+# Report values compare must refuse: not finite, or a JSON bool (a Python int).
+REPORT_VALUES = {
+    "time-inf": ("Infinity", "1.0"),
+    "time-nan": ("NaN", "1.0"),
+    "time-true": ("true", "1.0"),
+    "energy-inf": ("1.0", "Infinity"),
+    "energy-false": ("1.0", "false"),
 }
 
 BAD_INPUTS = {
@@ -104,6 +116,8 @@ BAD_INPUTS = {
                                   "--baseline-runtime", "1"],
     "compare-report-zero-time": ["compare", "--report", "{tmp}/zero_time.json",
                                  "--baseline-runtime", "1"],
+    **{f"compare-report-{name}": COMPARE[:2] + [f"{{tmp}}/report-{name}.json"] + COMPARE[3:]
+       for name in REPORT_VALUES},
     "compare-runtime-0": ["compare", "--report", "{tmp}/partial.json",
                           "--baseline-runtime", "0"],
     "compare-runtime-nan": COMPARE[:-1] + ["nan"],
@@ -132,6 +146,23 @@ def test_verify_checks_the_guard_before_building_a_graph(monkeypatch, capsys):
                            "--block-size", "8", "--trials", "1"], capsys)
     assert code == cli.EXIT_USAGE
     assert "guarded" in err
+
+
+def test_verify_checks_the_config_before_building_a_graph(monkeypatch, files, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gen_synthetic called with an invalid config")
+
+    monkeypatch.setattr(cli, "gen_synthetic", refuse)
+    code, _, err = invoke(VERIFY + ["--config", files / "channels-huge.json"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert "channels * bank_groups_per_channel" in err
+
+
+def test_sweep_names_an_invalid_point(capsys):
+    code, out, err = invoke(SWEEP[:-1] + ["0,8"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert err == "error: channels must be >= 1, got 0\n"
+    assert out == ""
 
 
 def test_verify_guards_the_padded_size(monkeypatch, capsys):
@@ -164,7 +195,7 @@ def test_run_checks_the_timing_guard_before_scheduling(monkeypatch, capsys):
     assert "guarded" in err and "m=100000" in err
     assert "Traceback" not in err
     with pytest.raises(AssertionError, match="past the timing guard"):
-        scheduler.simulate(scheduler.TIMING_GUARD, 1, default_config(), enforce_wavefront=False)
+        scheduler.simulate(scheduler.TIMING_GUARD, 1, default_config())
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB for an array", ""])

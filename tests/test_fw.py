@@ -25,6 +25,7 @@ from fwsim import (
     to_tile_major,
 )
 from fwsim import fw
+from fwsim.errors import ConfigError
 from fwsim.fw import _minplus
 from reference_scheduler import TilePhase, full_trace, round_records
 
@@ -290,6 +291,17 @@ class TestReference:
         snapshot = d.copy()
         fw_reference(d)
         assert np.array_equal(d, snapshot)
+
+    # Cast to uint32, -1 would read 65535, 3.7 would read 3 and 2^40 INF.
+    @pytest.mark.parametrize("d", [
+        np.array([[0, -1], [5, 0]]),
+        np.array([[0, 3.7], [5, 0]]),
+        np.array([[0, 2**40], [5, 0]], dtype=np.uint64),
+        np.zeros((2, 3), dtype=np.uint32),
+    ], ids=["int64", "float64", "uint64", "not-square"])
+    def test_refuses_all_but_a_square_uint32_matrix(self, d):
+        with pytest.raises(ConfigError):
+            fw_reference(d)
 
 
 def scalar_fw(d):

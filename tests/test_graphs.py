@@ -234,8 +234,9 @@ class TestTiling:
 
     def test_from_tile_major_dimension_error(self):
         t = to_tile_major(np.zeros((4, 4), dtype=np.uint32), 2)
-        with pytest.raises(ConfigError):
-            from_tile_major(t, 5)
+        for original_n in (5, -1):
+            with pytest.raises(ConfigError):
+                from_tile_major(t, original_n)
         # A (2, 4, 4, 2) array holds 8 x 8 entries, as (2, 2, 4, 4) tiles do,
         # and a 2-D one could pass for the padded matrix: both are refused.
         for bad in (np.zeros((2, 4, 4, 2), np.uint32), np.zeros((8, 8), np.uint32)):
@@ -243,6 +244,14 @@ class TestTiling:
                 from_tile_major(bad, 8)
             with pytest.raises(ConfigError):
                 fw_blocked(bad)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.uint64])
+    def test_refuses_all_but_uint32(self, dtype):
+        d = np.array([[0, -1], [5, 0]]).astype(dtype)
+        with pytest.raises(ConfigError):
+            to_tile_major(d, 1)
+        with pytest.raises(ConfigError):
+            fw_blocked(d.reshape(2, 1, 2, 1).swapaxes(1, 2))
 
     def test_block_size_must_be_positive(self):
         with pytest.raises(ConfigError):

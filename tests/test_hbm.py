@@ -8,12 +8,12 @@ import pytest
 
 from fwsim import (
     HbmConfig,
+    cli,
     default_config,
     load_config,
     simulate,
-    validate_config,
 )
-from fwsim.errors import ConfigError, ConstraintViolation
+from fwsim.errors import ConfigError
 from fwsim.hbm import MAX_BANK_GROUPS, TimingParams, config_from_dict, config_to_dict
 from reference_scheduler import map_tile_to_bank_group
 
@@ -96,29 +96,29 @@ class TestDefaultsAndValidation:
     def test_default_config_is_constant(self):
         assert default_config() == default_config()
 
-    def test_wavefront_constraint(self):
-        cfg = default_config()
-        validate_config(cfg, 16)  # accepted
-        with pytest.raises(ConstraintViolation) as exc:
-            validate_config(cfg, 17)
-        assert "2M" in str(exc.value)
-        validate_config(dataclasses.replace(cfg, channels=16), 17)
-        validate_config(dataclasses.replace(cfg, channels=16), 32)
+    def test_wavefront_constraint(self, tmp_path, capsys):
+        """run, without --relax-wavefront, stages 2M <= C*G tiles: M = 16
+        tiles per row on the default 32 bank-groups, 17 on 64."""
+        def run(n, *config):
+            return cli.main(["run", "--nodes", str(n), "--block-size", "1",
+                             "--out", str(tmp_path / "report.json"), *config])
+
+        assert run(16) == cli.EXIT_OK
+        assert run(17) == cli.EXIT_USAGE
+        assert "2M = 34" in capsys.readouterr().err
+        doc = tmp_path / "channels16.json"
+        doc.write_text('{"channels": 16}')
+        assert run(17, "--config", str(doc)) == cli.EXIT_OK
+        assert run(32, "--config", str(doc)) == cli.EXIT_OK
 
     def test_structural_errors(self):
         cfg = default_config()
         with pytest.raises(ConfigError):
-            validate_config(dataclasses.replace(cfg, channels=0), 1)
-        bad_timing = dataclasses.replace(cfg, timing=TimingParams(t_rc=20, t_ras=24))
+            dataclasses.replace(cfg, channels=0)
         with pytest.raises(ConfigError):
-            validate_config(bad_timing, 1)
-        bad_timing = dataclasses.replace(cfg, timing=TimingParams(t_rcd=30))
+            dataclasses.replace(cfg, timing=TimingParams(t_rc=20, t_ras=24))
         with pytest.raises(ConfigError):
-            validate_config(bad_timing, 1)
-
-    def test_negative_tiles_per_row(self):
-        with pytest.raises(ConfigError):
-            validate_config(default_config(), 0)
+            dataclasses.replace(cfg, timing=TimingParams(t_rcd=30))
 
     @pytest.mark.parametrize("doc", [
         {"timing": {"t_rc_ns": float("inf")}},
@@ -137,17 +137,15 @@ class TestDefaultsAndValidation:
         {"pim": {"bulk_load_cycles": -1}},
     ], ids=repr)
     def test_out_of_range_values(self, doc):
-        cfg = config_from_dict(doc)
         with pytest.raises(ConfigError):
-            validate_config(cfg, 1)
-        with pytest.raises(ConfigError):
-            simulate(16, 8, cfg, enforce_wavefront=False)
+            config_from_dict(doc)
 
     def test_bank_group_limit(self):
         cfg = default_config()
-        validate_config(dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4), 1)
+        at_limit = dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4)
+        assert at_limit.total_bank_groups == MAX_BANK_GROUPS
         with pytest.raises(ConfigError, match=str(MAX_BANK_GROUPS)):
-            validate_config(dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4 + 1), 1)
+            dataclasses.replace(cfg, channels=MAX_BANK_GROUPS // 4 + 1)
 
 
 def case(doc, message):

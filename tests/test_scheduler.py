@@ -20,8 +20,8 @@ from fwsim import (
     timeline,
     utilization_report,
 )
-from fwsim import scheduler
-from fwsim.errors import ConstraintViolation, GuardError
+from fwsim import cli, scheduler
+from fwsim.errors import ConfigError, GuardError
 
 
 def round_events(k, m, b, cfg):
@@ -111,7 +111,7 @@ class TestInvariants:
 
     def test_resource_exclusivity_oversubscribed(self):
         cfg = dataclasses.replace(default_config(), channels=1)
-        self.scan_exclusive(timeline(256, 16, cfg, enforce_wavefront=False))
+        self.scan_exclusive(timeline(256, 16, cfg))
 
     def test_dependency_soundness(self):
         events = timeline(512, 64, default_config())  # m=8
@@ -205,7 +205,7 @@ class TestScalingProperties:
         for run in (simulate, timeline):
             tracemalloc.start()
             try:
-                run(3 * 4, 4, cfg, enforce_wavefront=False)
+                run(3 * 4, 4, cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -229,32 +229,39 @@ class TestDeterminism:
 
 
 class TestWavefrontEnforcement:
-    def test_constraint_raised_by_default(self):
-        with pytest.raises(ConstraintViolation):
-            simulate(8192, 256, default_config())  # m=32 on 32 groups
+    """The scheduler models any number of tiles per bank-group; the CLI's run
+    and sweep refuse 2M > C*G unless --relax-wavefront is given."""
+
+    def test_constraint_raised_by_default(self, capsys):
+        argv = ["run", "--nodes", "8192", "--block-size", "256"]  # m=32 on 32 groups
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: parallelism constraint violated: the wavefront stages 2M = 64 "
+            "pivot-row/column tiles but the stack has only C*G = 32 bank-groups\n")
 
     def test_relaxed_run_completes(self):
-        r = simulate(8192, 256, default_config(), enforce_wavefront=False)
+        r = simulate(8192, 256, default_config())
         assert r.counts.minplus_ops == 8192**3
 
-    def test_other_config_errors_still_raised_when_relaxed(self):
-        from fwsim.errors import ConfigError
-
-        bad = dataclasses.replace(default_config(), dq_bits=0)
+    def test_other_config_errors_still_raised_when_relaxed(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
-            simulate(64, 16, bad, enforce_wavefront=False)
+            dataclasses.replace(default_config(), dq_bits=0)
+        (tmp_path / "bad.json").write_text('{"dq_bits": 0}')
+        assert cli.main(["run", "--nodes", "64", "--block-size", "16", "--relax-wavefront",
+                         "--config", str(tmp_path / "bad.json")]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "error: dq_bits must be >= 1, got 0\n"
 
 
 class TestFunctional:
     def test_matches_reference_and_timing(self):
         # At n = 256, b = 8, m = 32 > G / 2 = 16 stages more tiles than the
-        # wavefront constraint allows; the functional run schedules it relaxed.
+        # wavefront constraint allows; the scheduler models it all the same.
         cfg = default_config()
         for n, b in [(64, 16), (256, 8)]:
             d = build_distance_matrix(gen_synthetic(n, 0.5, seed=44))
             got, sim = simulate_functional(d, b, cfg)
             assert np.array_equal(got, fw_reference(d))
-            assert sim == simulate(n, b, cfg, enforce_wavefront=False)
+            assert sim == simulate(n, b, cfg)
 
     def test_single_tile(self):
         cfg = default_config()
@@ -327,7 +334,7 @@ class TestUtilization:
 
     def test_reported_beyond_64_rounds(self):
         # Utilization comes from the busy counters, at any number of rounds.
-        r = simulate(65 * 8, 8, default_config(), enforce_wavefront=False)
+        r = simulate(65 * 8, 8, default_config())
         assert r.tiles_per_row == 65
         util = utilization_report(r)
         assert 0.0 < util["min"] <= util["mean"] <= util["max"] <= 1.0

@@ -78,8 +78,8 @@ def test_simulate_and_timeline_reproduce_golden():
     for name, cfg in configs().items():
         for m in (1, 2, 3, 5, 16, 32):
             for b in (8, 64):
-                r = simulate(m * b, b, cfg, enforce_wavefront=False)
-                events = timeline(m * b, b, cfg, enforce_wavefront=False)
+                r = simulate(m * b, b, cfg)
+                events = timeline(m * b, b, cfg)
                 got[f"{name}/m{m}/b{b}"] = record(r, events, b, cfg)
     assert got.keys() == GOLDEN.keys()
     for key, expected in GOLDEN.items():
@@ -95,7 +95,7 @@ def test_simulate_reproduces_n8192_totals():
     got = {}
     for name in ("default", "calibrated"):
         for b in (64, 128):
-            r = simulate(8192, b, configs()[name], enforce_wavefront=False)
+            r = simulate(8192, b, configs()[name])
             got[f"{name}/n8192/b{b}"] = {
                 "tiles_per_row": r.tiles_per_row, "total_cycles": r.total_cycles,
                 "total_time_ps": r.total_time_ps, "counts": dataclasses.asdict(r.counts),

@@ -47,13 +47,13 @@ def runs(draw):
 
 
 def assert_matches_reference(n, b, cfg):
-    got = simulate(n, b, cfg, enforce_wavefront=False)
-    expected = reference.simulate(n, b, cfg, enforce_wavefront=False)
+    got = simulate(n, b, cfg)
+    expected = reference.simulate(n, b, cfg)
     for field in dataclasses.fields(got):
         assert repr(getattr(got, field.name)) == repr(getattr(expected, field.name)), field.name
-    events = timeline(n, b, cfg, enforce_wavefront=False)
+    events = timeline(n, b, cfg)
     assert events.dtype == scheduler.EVENT
-    assert np.array_equal(events, reference.timeline(n, b, cfg, enforce_wavefront=False))
+    assert np.array_equal(events, reference.timeline(n, b, cfg))
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
@@ -101,7 +101,7 @@ def test_rounds_batched_across_groups_match_reference(monkeypatch, updates, size
 
     monkeypatch.setattr(scheduler, "_fold", spy)
     d = default_config()
-    simulate(7 * 5, 5, d, enforce_wavefront=False)
+    simulate(7 * 5, 5, d)
     assert folded[::2] == sizes  # two folds per group, row and column tiles, each (rounds, m)
     for cfg in (d, dataclasses.replace(d, channels=1, bank_groups_per_channel=3),
                 dataclasses.replace(d, pim=dataclasses.replace(d.pim, bulk_load_cycles=5000,
@@ -128,5 +128,5 @@ def test_busy_sums_past_2_53_match_reference():
     d = default_config()
     cfg = dataclasses.replace(d, channels=1, bank_groups_per_channel=2,
                               pim=dataclasses.replace(d.pim, row_pass_setup_cycles=2**50 + 1))
-    assert max(simulate(9, 3, cfg, enforce_wavefront=False).per_bank_group_busy) > 2**53
+    assert max(simulate(9, 3, cfg).per_bank_group_busy) > 2**53
     assert_matches_reference(9, 3, cfg)

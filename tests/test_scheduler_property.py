@@ -73,8 +73,8 @@ def check_dependency_order(k, events):
 @given(runs())
 def test_scheduler_invariants(run):
     n, b, m, cfg = run
-    result = simulate(n, b, cfg, enforce_wavefront=False)
-    events = timeline(n, b, cfg, enforce_wavefront=False)
+    result = simulate(n, b, cfg)
+    events = timeline(n, b, cfg)
     kind, k, unit, start, end = (events[f] for f in ("kind", "k", "unit", "start", "end"))
     assert (start <= end).all()
 
