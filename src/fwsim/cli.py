@@ -76,15 +76,6 @@ def build_report(result: SimResult, cfg: HbmConfig, graph_path=None) -> dict:
     }
 
 
-def _workload_from_args(args) -> tuple[int, str | None]:
-    if args.graph is not None:
-        edges = load_edge_list(args.graph, directed=not args.undirected)
-        return edges.num_vertices, args.graph
-    if args.nodes is None:
-        raise ConfigError("either --graph or --nodes is required")
-    return args.nodes, None
-
-
 def _simulate(n: int, b: int, cfg: HbmConfig, relax_wavefront: bool) -> SimResult:
     """simulate(), refused unless relax_wavefront when the pivot-row/column
     wavefront stages more tiles, 2M for M tiles per row, than the stack has
@@ -99,9 +90,11 @@ def _simulate(n: int, b: int, cfg: HbmConfig, relax_wavefront: bool) -> SimResul
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    n, graph_path = _workload_from_args(args)
+    n = args.nodes
+    if args.graph is not None:
+        n = load_edge_list(args.graph, directed=not args.undirected).num_vertices
     result = _simulate(n, args.block_size, cfg, args.relax_wavefront)
-    _write_text(args.out, _json_dumps(build_report(result, cfg, graph_path)))
+    _write_text(args.out, _json_dumps(build_report(result, cfg, args.graph)))
     return EXIT_OK
 
 
@@ -110,8 +103,6 @@ def cmd_verify(args) -> int:
     element against the reference (INF entries included)."""
     cfg = load_config(args.config)
     n, b = args.nodes, args.block_size
-    if n is None:
-        raise ConfigError("verify needs --nodes")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if args.seed < 0:
@@ -158,16 +149,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(param: str, value: int, base: HbmConfig, n: int, b: int):
-    if param == "channels":
-        return dataclasses.replace(base, channels=value), n, b
-    if param == "bpes_per_bank":
-        return dataclasses.replace(base, bpes_per_bank=value), n, b
-    if param == "block_size":
-        return base, n, value
-    return base, value, b  # param == "n": argparse's choices allow no other
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.nodes is None and args.param != "n":
@@ -176,9 +157,12 @@ def cmd_sweep(args) -> int:
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
 
-    points = [_sweep_point(args.param, v, cfg, args.nodes, args.block_size)
-              for v in values]
-    results = [_simulate(n, b, point_cfg, args.relax_wavefront) for point_cfg, n, b in points]
+    # n and block_size set the workload; every other parameter is an HbmConfig field.
+    workload = {"n": args.nodes, "block_size": args.block_size}
+    points = [({**workload, args.param: v}, cfg) if args.param in workload
+              else (workload, dataclasses.replace(cfg, **{args.param: v})) for v in values]
+    results = [_simulate(w["n"], w["block_size"], point_cfg, args.relax_wavefront)
+               for w, point_cfg in points]
 
     rows = []
     base_time = results[0].total_time_seconds
@@ -264,12 +248,14 @@ def cmd_compare(args) -> int:
             else None
         ),
     }
+    for ratio in ("speedup", "energy_ratio"):
+        if out[ratio] == math.inf:
+            raise ConfigError(f"the {ratio} against that baseline overflows a float")
     _write_text(args.out, _json_dumps(out))
     return EXIT_OK
 
 
 def _add_workload_flags(p, verify=False):
-    p.add_argument("--nodes", type=int, help="synthetic workload size N")
     p.add_argument("--block-size", type=int, required=True, help="tile dimension B")
     p.add_argument("--config", default="default",
                    help="config JSON path, or 'default'")
@@ -293,17 +279,23 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="simulate one workload, emit a JSON report")
+    workload = p_run.add_mutually_exclusive_group(required=True)
+    workload.add_argument("--nodes", type=int, help="synthetic workload size N")
+    workload.add_argument("--graph", help="edge-list file (u v [w], '#' comments)")
     _add_workload_flags(p_run)
-    p_run.add_argument("--graph", help="edge-list file (u v [w], '#' comments)")
     p_run.add_argument("--undirected", action="store_true",
-                       help="treat the edge list as undirected")
+                       help="treat the edge list as undirected (the report is the "
+                            "same either way: only the vertex count is read)")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check the blocked result against the reference")
+    p_verify.add_argument("--nodes", type=int, required=True, help="synthetic workload size N")
     _add_workload_flags(p_verify, verify=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="sweep one design parameter, emit CSV/JSON")
+    p_sweep.add_argument("--nodes", type=int,
+                         help="synthetic workload size N (not needed to sweep n)")
     _add_workload_flags(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True,

@@ -33,17 +33,20 @@ class EdgeList:
     edges: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.uint32).reshape(-1, 3)
-        object.__setattr__(self, "edges", e)
+        # Checked before the uint32 cast, which truncates 3.7 to 3 and wraps -5.
+        e = np.asarray(self.edges).reshape(-1, 3)
         if self.num_vertices < 0:
             raise ConfigError("num_vertices must be non-negative")
         if len(e):
+            if e.dtype.kind not in "ui" or int(e.min()) < 0:
+                raise ConfigError(f"edges must be non-negative integers, got {e.dtype}")
             if int(e[:, :2].max()) >= self.num_vertices:
                 raise ConfigError("edge endpoint out of range")
             if int(e[:, 2].max()) >= INF:
                 raise ConfigError("edge weight must be below the INF sentinel")
             if np.any(e[:, 0] == e[:, 1]):
                 raise ConfigError("self-loop edges are not retained")
+        object.__setattr__(self, "edges", e.astype(np.uint32, copy=False))
 
     @property
     def num_edges(self) -> int:
@@ -69,14 +72,6 @@ def parse_edge_list(text, directed: bool = True) -> EdgeList:
 
     index: dict[int, int] = {}
     best: dict[tuple[int, int], int] = {}
-
-    def vertex(raw_id: int) -> int:
-        idx = index.get(raw_id)
-        if idx is None:
-            idx = len(index)
-            index[raw_id] = idx
-        return idx
-
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -95,13 +90,9 @@ def parse_edge_list(text, directed: bool = True) -> EdgeList:
             raise ParseError(
                 f"weight {w} outside the representable range [0, {INF})", line_no
             )
-        u, v = vertex(u_raw), vertex(v_raw)
-        if u == v:
-            continue
-        pairs = [(u, v), (v, u)] if not directed else [(u, v)]
-        for key in pairs:
-            prev = best.get(key)
-            if prev is None or w < prev:
+        u, v = index.setdefault(u_raw, len(index)), index.setdefault(v_raw, len(index))
+        for key in [(u, v)] if directed else [(u, v), (v, u)]:
+            if u != v and w < best.get(key, INF):
                 best[key] = w
 
     edges = np.array(
@@ -112,7 +103,10 @@ def parse_edge_list(text, directed: bool = True) -> EdgeList:
 
 def load_edge_list(path, directed: bool = True) -> EdgeList:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh, directed=directed)
+        try:
+            return parse_edge_list(fh, directed=directed)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def gen_synthetic(n: int, density: float, weight_range=(1, 100), seed: int = 0) -> EdgeList:

@@ -201,6 +201,6 @@ def load_config(source: str) -> HbmConfig:
     with open(source, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, not UTF-8, or an int past the digit limit
             raise ConfigError(f"invalid config JSON in {source}: {exc}") from None
     return config_from_dict(data)

@@ -13,6 +13,9 @@ SWEEP = ["sweep", "--nodes", "64", "--block-size", "16", "--param", "channels",
          "--values", "4,8"]
 VERIFY = ["verify", "--nodes", "24", "--block-size", "8", "--trials", "2"]
 COMPARE = ["compare", "--report", "{tmp}/report.json", "--baseline-runtime", "1"]
+# A report whose time and energy are the least subnormal float: a 1e300
+# baseline over either overflows.
+COMPARE_TINY = ["compare", "--report", "{tmp}/tiny.json", "--baseline-runtime"]
 
 
 def invoke(argv, capsys):
@@ -35,6 +38,11 @@ def files(tmp_path):
     for name, (seconds, joules) in REPORT_VALUES.items():
         (tmp_path / f"report-{name}.json").write_text(
             '{"calibrated": {"total_time_seconds": %s, "energy_joules": %s}}' % (seconds, joules))
+    (tmp_path / "tiny.json").write_text(
+        '{"calibrated": {"total_time_seconds": 5e-324, "energy_joules": 5e-324}}')
+    (tmp_path / "edges.txt").write_text("0 1 2\n1 2\n")
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "not_utf8.txt").write_bytes(b"0 1 2\n\xff 3\n")
     (tmp_path / "directory").mkdir()
     return tmp_path
 
@@ -47,6 +55,8 @@ CONFIG_DOCS = {
     "channels-huge": '{"channels": 99999999999999999999}',
     "channels-1e9": '{"channels": 1000000000}',
     "removed-key": '{"row_bits": 8192}',
+    # Past the interpreter's limit on the digits of an int read from text.
+    "channels-5000-digits": '{"channels": %s}' % ("1" * 5000),
     # Valid values whose modeled time or energy overflows a float in seconds
     # or joules.
     "clock-period-1e400": '{"clock_period_ps": 1%s}' % ("0" * 400),
@@ -67,6 +77,10 @@ BAD_INPUTS = {
     "run-nodes-0": ["run", "--nodes", "0", "--block-size", "8"],
     "run-block-size-0": ["run", "--nodes", "8", "--block-size", "0"],
     "run-no-workload": ["run", "--block-size", "8"],
+    "run-graph-and-nodes": ["run", "--graph", "{tmp}/edges.txt", "--nodes", "5",
+                            "--block-size", "2"],
+    "run-graph-not-utf8": ["run", "--graph", "{tmp}/not_utf8.txt", "--block-size", "2"],
+    "run-config-not-utf8": RUN + ["--config", "{tmp}/not_utf8.json"],
     "run-config-directory": RUN + ["--config", "{tmp}/directory"],
     "run-config-missing": RUN + ["--config", "{tmp}/missing.json"],
     "run-config-wrong-type": RUN + ["--config", "{tmp}/wrong_type.json"],
@@ -82,6 +96,7 @@ BAD_INPUTS = {
     "verify-nodes-0": ["verify", "--nodes", "0", "--block-size", "8"],
     "verify-block-size-0": ["verify", "--nodes", "8", "--block-size", "0"],
     "verify-no-nodes": ["verify", "--block-size", "8"],
+    "verify-config-not-utf8": VERIFY + ["--config", "{tmp}/not_utf8.json"],
     "verify-trials-0": VERIFY[:5] + ["--trials", "0"],
     "verify-density-2": VERIFY + ["--density", "2"],
     "verify-graph": VERIFY + ["--graph", "{tmp}/missing.txt"],
@@ -118,6 +133,8 @@ BAD_INPUTS = {
                                  "--baseline-runtime", "1"],
     **{f"compare-report-{name}": COMPARE[:2] + [f"{{tmp}}/report-{name}.json"] + COMPARE[3:]
        for name in REPORT_VALUES},
+    "compare-speedup-overflow": COMPARE_TINY + ["1e300"],
+    "compare-energy-ratio-overflow": COMPARE_TINY + ["1e-300", "--baseline-energy", "1e300"],
     "compare-runtime-0": ["compare", "--report", "{tmp}/partial.json",
                           "--baseline-runtime", "0"],
     "compare-runtime-nan": COMPARE[:-1] + ["nan"],

@@ -1,6 +1,8 @@
 """Edge-list parsing, synthetic generation, matrix build, and tiling."""
 
+import hashlib
 import io
+import random
 
 import numpy as np
 import pytest
@@ -21,6 +23,39 @@ from fwsim.errors import ConfigError, ParseError
 
 def edges_as_set(e):
     return {tuple(map(int, row)) for row in e.edges}
+
+
+def u64(rows):
+    return np.array(rows, dtype=np.uint64)
+
+
+def snap_text(seed=24, records=600):
+    """A seeded SNAP-style edge list over 80 sparse raw ids: '#' comments,
+    blank lines, tab and space separators, missing weights, duplicates (half
+    of them reversed) and self-loops."""
+    rng = random.Random(seed)
+    raw_ids = rng.sample(range(10**7), 80)
+    lines = ["# Directed graph: example.txt", "# FromNodeId\tToNodeId\tWeight"]
+    records_so_far = []
+    for i in range(records):
+        draw = rng.random()
+        if draw < 0.2 and records_so_far:
+            u, v = rng.choice(records_so_far)
+            if rng.random() < 0.5:
+                u, v = v, u
+        elif draw < 0.25:
+            u = v = rng.choice(raw_ids)
+        else:
+            u, v = rng.sample(raw_ids, 2)
+        records_so_far.append((u, v))
+        fields = [str(u), str(v)]
+        if rng.random() < 0.7:
+            fields.append(str(rng.randint(0, 60)))
+        sep = rng.choice(["\t", " ", "  "])
+        lines.append(rng.choice(["", " "]) + sep.join(fields) + rng.choice(["", " ", "\t"]))
+        if rng.random() < 0.05:
+            lines.append(rng.choice(["", "   ", f"# records from {i}"]))
+    return "\n".join(lines) + "\n"
 
 
 class TestParser:
@@ -93,6 +128,22 @@ class TestParser:
         text = "# header\n3 9 4\n9 12\n3 12 8\n"
         assert parse_edge_list(text) == parse_edge_list(text)
 
+    @pytest.mark.parametrize("directed, num_vertices, num_edges, sha256", [
+        (True, 80, 469, "aa5c91ed725807631ba5370b9e22bb0600ba45bc4fcc1338df787538404e82c0"),
+        (False, 80, 816, "4d05c15cbc1a53f356ab63b974549e4619bc6420bc656fc6c7b62f04ab3a7463"),
+    ], ids=["directed", "undirected"])
+    def test_ingest_golden(self, tmp_path, directed, num_vertices, num_edges, sha256):
+        """The vertex count, the edges and their order, pinned for a mixed
+        SNAP-style file, read as text and from a file."""
+        path = tmp_path / "edges.txt"
+        path.write_text(snap_text())
+        e = graphs.load_edge_list(path, directed=directed)
+        assert e == parse_edge_list(snap_text(), directed=directed)
+        assert e.edges.dtype == np.uint32
+        assert (e.num_vertices, e.num_edges) == (num_vertices, num_edges)
+        digest = hashlib.sha256(np.int64(e.num_vertices).tobytes() + e.edges.tobytes())
+        assert digest.hexdigest() == sha256
+
 
 class TestBuildMatrix:
     def test_single_edge(self):
@@ -116,14 +167,26 @@ class TestBuildMatrix:
         assert (np.diag(d) == 0).all()
 
     @pytest.mark.parametrize("num_vertices, edges", [
-        (-1, []),
-        (3, [(0, 3, 1)]),
-        (3, [(0, 1, INF)]),
-        (3, [(1, 1, 4)]),
-    ], ids=["negative-vertices", "endpoint-out-of-range", "weight-at-inf", "self-loop"])
+        (-1, u64([])),
+        (3, u64([(0, 3, 1)])),
+        (3, u64([(0, 1, INF)])),
+        (3, u64([(1, 1, 4)])),
+        (3, np.array([(0, 1, 3.7)])),
+        (3, np.array([(0.9, 1, 2)])),
+        (3, np.array([(0, 1, -5)])),
+        (3, [(0, 1, -1)]),
+        (3, u64([(0, 1, 2**32)])),
+        (3, u64([(2**32 + 1, 0, 2)])),
+        (3, np.array([(False, True, True)])),
+    ], ids=["negative-vertices", "endpoint-out-of-range", "weight-at-inf", "self-loop",
+            "float-weight", "float-endpoint", "negative-weight", "negative-weight-list",
+            "weight-2^32", "endpoint-2^32+1", "bool"])
     def test_edge_list_refuses_bad_input(self, num_vertices, edges):
+        """Checked before the cast to uint32, which would keep 3.7 as 3, read
+        0.9 as vertex 0, wrap -5 below INF and 2^32 to 0, and raise a bare
+        OverflowError for a list's -1."""
         with pytest.raises(ConfigError):
-            graphs.EdgeList(num_vertices, np.array(edges, dtype=np.uint64))
+            graphs.EdgeList(num_vertices, edges)
 
 
 class TestGenSynthetic:
