@@ -151,14 +151,17 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    if args.nodes is None and args.param != "n":
-        raise ConfigError("sweep needs --nodes unless it sweeps n")
+    # n and block_size set the workload; every other parameter is an HbmConfig field.
+    workload = {"n": args.nodes, "block_size": args.block_size}
+    for name, flag in (("n", "--nodes"), ("block_size", "--block-size")):
+        if args.param == name and workload[name] is not None:
+            raise ConfigError(f"sweep --param {name} takes {name} from --values, not {flag}")
+        if args.param != name and workload[name] is None:
+            raise ConfigError(f"sweep needs {flag} unless it sweeps {name}")
     values = args.values
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly increasing")
 
-    # n and block_size set the workload; every other parameter is an HbmConfig field.
-    workload = {"n": args.nodes, "block_size": args.block_size}
     points = [({**workload, args.param: v}, cfg) if args.param in workload
               else (workload, dataclasses.replace(cfg, **{args.param: v})) for v in values]
     results = [_simulate(w["n"], w["block_size"], point_cfg, args.relax_wavefront)
@@ -255,8 +258,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _add_workload_flags(p, verify=False):
-    p.add_argument("--block-size", type=int, required=True, help="tile dimension B")
+def _add_workload_flags(p, verify=False, sweep=False):
+    p.add_argument("--block-size", type=int, required=not sweep,
+                   help="tile dimension B" + (" (not needed to sweep block_size)" if sweep else ""))
     p.add_argument("--config", default="default",
                    help="config JSON path, or 'default'")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -296,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one design parameter, emit CSV/JSON")
     p_sweep.add_argument("--nodes", type=int,
                          help="synthetic workload size N (not needed to sweep n)")
-    _add_workload_flags(p_sweep)
+    _add_workload_flags(p_sweep, sweep=True)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          type=lambda s: [int(v) for v in s.split(",")],

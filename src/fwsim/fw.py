@@ -8,10 +8,16 @@ of _CAPS whose cap exceeds w * n.bit_length(), w the largest finite entry,
 and keeps the result if the largest entry below the cap, plus w, is below it
 too; else it reruns one width up. uint64, capped at INF, is always kept. A
 finite distance or cycle at the cap fails the check: a prefix of its shortest
-path or cycle is a shortest distance, exact in [cap - w, cap). Both kernels
-relax their row-major working copy through one row sweep, _relax, which
-skips the (row, pivot) pairs at the cap, in the fill-reducing _pivot_order:
-fw_reference by batches, fw_blocked by rounds; any order gives one closure.
+path or cycle is a shortest distance, exact in [cap - w, cap). No mask finds
+the cap: w is the max of d's int32 view, where INF reads -1, and a narrow
+pass maps its cap to all ones, x | ((x + 1) & (cap + 1)), which the signed
+view reads as -1 and the uint32 result, sign-extended from uint16, as INF.
+Both kernels relax their row-major working copy through one row sweep,
+_relax, which skips the (row, pivot) pairs at the cap, in the fill-reducing
+_pivot_order: fw_reference by batches, fw_blocked by rounds; any order gives
+one closure. fw_blocked's pivot-row pass skips the steps of the pivots with
+no entry below the cap from another pivot row in their column of the pivot
+tile: no walk inside the tile reaches them, so their steps change no row.
 """
 
 from __future__ import annotations
@@ -21,8 +27,9 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import INF, _tile_grid
 
-# Bytes per band of rows relaxed at once by _relax (at least one row): band
-# plus kernel scratch take 512 KiB, one core's L2 on the AMD EPYC.
+# Bytes per band of rows relaxed, scanned or mapped at once (at least one
+# row). 256 KiB bands beat 128 KiB ones on n = 512 fw_reference on the Intel
+# Xeon (sparse 36.3 -> 32.8 ms, dense 70.7 -> 63.7 ms): fewer calls per step.
 _CHUNK_BYTES = 262_144
 # Working widths, narrowest first, with their caps: a sum of two fits.
 _CAPS = {np.uint16: 2**15 - 1, np.uint32: 2**31 - 1, np.uint64: INF}
@@ -36,29 +43,56 @@ def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
     working copy of d (n^2 entries) in place, at the narrowest exact width;
     spare is an idle n x n array of work's dtype, or None. d must be uint32,
     as the working copy is cast from it unchecked: -1 would wrap, 3.7 would
-    truncate and 2^40 would read as INF."""
+    truncate and 2^40 would read as INF.
+
+    w is the largest entry of d's int32 view, where INF reads -1; only an
+    entry in [2^31, INF) reads below -1 and takes the masked max instead.
+    After a narrow pass, x | ((x + 1) & (cap + 1)) maps the cap, 2^15 - 1 or
+    2^31 - 1, to all ones and leaves every x < cap as it is, so the check's
+    largest entry below the cap is the max of work's signed view, and the
+    result needs no mask: all ones is INF in uint32, and in uint16 it reads
+    -1, which sign extension widens to INF."""
     if d.dtype != np.uint32:
         raise ConfigError(f"distance matrices must be uint32, got {d.dtype}")
-    w = int(np.max(d, where=d != INF, initial=0))
+    signed = d.view(np.int32)
+    if signed.min(initial=0) < -1:
+        w = int(np.max(d, where=d != INF, initial=0))
+    else:
+        w = int(signed.max(initial=0))
     for dtype, cap in _CAPS.items():
         if w * n.bit_length() < cap or cap == INF:
             # A uint16 working copy is the back half of the uint32 result's
             # memory, the front half spare. Clamped in d's width, entries narrow.
             out = np.empty(n * n, np.promote_types(dtype, np.uint32))
-            work = out.view(dtype)[-n * n:].reshape(n, n)
+            flat = out.view(dtype)[-n * n:]
+            work = flat.reshape(n, n)
             np.minimum(d, cap, out=work.reshape(d.shape), casting="unsafe")
             loop(work, out.view(dtype)[:n * n].reshape(n, n) if dtype is np.uint16 else None)
-            if cap == INF or int(np.max(work, where=work < cap, initial=0)) + w < cap:
+            if cap == INF:
                 break
-            del out, work  # before the next width's buffer
+            _cap_to_ones(flat, cap)
+            if int(flat.view(f"i{flat.itemsize}").max(initial=0)) + w < cap:
+                break
+            del out, flat, work  # before the next width's buffer
     # An ascending copy never overtakes its source: entry j goes to bytes
     # [4j, 4j + 4), short of unread entry j + 1 at 2 * n^2 + 2j + 2, so numpy
     # widens the uint16 copy in place, without a temporary.
     if dtype is np.uint16:
-        out[:] = work.reshape(-1)
-    out = out.astype(np.uint32, copy=False).reshape(n, n)
-    out[out == cap] = INF
-    return out
+        out.view(np.int32)[:] = flat.view(np.int16)
+    return out.astype(np.uint32, copy=False).reshape(n, n)
+
+
+def _cap_to_ones(flat: np.ndarray, cap: int) -> None:
+    """Set the entries of flat at cap, 2^15 - 1 or 2^31 - 1, to all ones and
+    keep the others, below it: x | ((x + 1) & (cap + 1)). In bands of
+    _CHUNK_BYTES; the scalars are typed, so that numpy 1.24 keeps the width."""
+    one, top = flat.dtype.type(1), flat.dtype.type(cap + 1)
+    step = _CHUNK_BYTES // flat.itemsize
+    for r in range(0, len(flat), step):
+        x = flat[r:r + step]
+        ones = x + one
+        ones &= top
+        x |= ones
 
 
 def _minplus(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
@@ -164,6 +198,23 @@ def _pivot_order(d: np.ndarray) -> tuple:
     return np.argsort(score, kind="stable"), score
 
 
+def _live_runs(p: np.ndarray) -> list:
+    """The maximal runs [s, e) of pivot tile p's live pivots, ascending: the t
+    with an off-diagonal entry below the cap in column t. Counted in bands of
+    _CHUNK_BYTES, with no b x b mask."""
+    b, cap = len(p), _CAPS[p.dtype.type]
+    band, fan_in = max(1, _CHUNK_BYTES // b), 0
+    for r in range(0, b, band):
+        fan_in += (p[r:r + band] < cap).view(np.uint8).sum(axis=0, dtype=np.int32)
+    runs = []
+    for t in np.flatnonzero(fan_in > (np.diagonal(p) < cap)).tolist():
+        if runs and runs[-1][1] == t:
+            runs[-1][1] = t + 1
+        else:
+            runs.append([t, t + 1])
+    return runs
+
+
 def fw_reference(d: np.ndarray) -> np.ndarray:
     """Reference all-pairs shortest paths: the classic triple loop (inner two
     loops vectorized; identical results for unsigned weights), over the
@@ -207,13 +258,22 @@ def fw_blocked(tiles: np.ndarray) -> np.ndarray:
     """Blocked Floyd-Warshall over (m, m, b, b) tiles, on one row-major copy d.
 
     Round k, K the rows and columns of pivot tile k, P = d[K, K], R = d[K]:
-    one aliased _minplus runs FW steps K on rows K alone, which read only
-    rows K, so it closes P and turns R into Q (x) R, Q = I (+) P (the pivot
-    and pivot-row phases; at m = 1 the whole closure). _relax runs steps K on
-    every other row against these rows: pre-round pivot columns C give
-    C (x) Q (x) R, and the K columns C (+) C (x) P = C (x) Q, the pivot-column
-    phase too. The four-phase tile order lives in the scheduler and the
-    tests' naive_blocked.
+    aliased _minplus calls run FW steps K on rows K alone, which read only
+    rows K, so they close P and turn R into Q (x) R, Q = I (+) P (the pivot
+    and pivot-row phases; at m = 1 one call over all of d, the whole
+    closure). _relax runs steps K on every other row against these rows:
+    pre-round pivot columns C give C (x) Q (x) R, and the K columns
+    C (+) C (x) P = C (x) Q, the pivot-column phase too. The four-phase tile
+    order lives in the scheduler and the tests' naive_blocked.
+
+    With m > 1 the pivot-row pass steps only through the live pivots: the t
+    of K with an off-diagonal entry below the cap in column t of P when the
+    round starts, one call per maximal run of them, ascending. A step t that
+    is not live changes no row, whatever the diagonal: an entry d[r, t],
+    r != t, below the cap during the pass is a walk r -> t inside K, whose
+    last entry d[u, t], u in K, u != t, was already below the cap; so column
+    t of rows K stays at the cap off the diagonal, and row t gains nothing
+    from d[t, t] + d[t]. A round with no live pivot skips the pass.
 
     With m > 1 and a spare array from _closure, d is permuted into
     _pivot_order (score-0 and padding vertices first) for the rounds, so the
@@ -226,16 +286,18 @@ def fw_blocked(tiles: np.ndarray) -> np.ndarray:
     n = m * b
 
     def rounds(d: np.ndarray, spare) -> None:
-        order, score = _pivot_order(d) if spare is not None and m > 1 else (None, None)
+        if m == 1:
+            _minplus(d, d, d)
+            return
+        order, score = _pivot_order(d) if spare is not None else (None, None)
         permute = order is not None and score[order[:b]].sum() < n * m
         if permute:  # rows into spare, columns back; a "clip" take writes unbuffered
             np.take(np.take(d, order, 0, spare, "clip"), order, 1, d, "clip")
         for lo in range(0, n, b):
-            hi = lo + b
-            row = d[lo:hi]
-            _minplus(row, row[:, lo:hi], row)
-            if m > 1:
-                _relax(d, slice(lo, hi), row)
+            row = d[lo:lo + b]
+            for s, e in _live_runs(row[:, lo:lo + b]):
+                _minplus(row, row[:, lo + s:lo + e], row[s:e])
+            _relax(d, slice(lo, lo + b), row)
         if permute:
             order = np.argsort(order)
             np.take(np.take(d, order, 0, spare, "clip"), order, 1, d, "clip")

@@ -108,10 +108,15 @@ BAD_INPUTS = {
                           "--trials", "1", "--density", "0.0001"],
     "sweep-block-size-0": ["sweep", "--nodes", "64", "--block-size", "0",
                            "--param", "channels", "--values", "4"],
-    "sweep-value-0": ["sweep", "--nodes", "64", "--block-size", "8",
-                      "--param", "block_size", "--values", "0,8"],
+    "sweep-value-0": ["sweep", "--nodes", "64", "--param", "block_size", "--values", "0,8"],
     "sweep-no-nodes": ["sweep", "--block-size", "8", "--param", "channels",
                        "--values", "4"],
+    "sweep-no-block-size": ["sweep", "--nodes", "64", "--param", "channels", "--values", "4"],
+    # The swept parameter's own flag would be ignored, so it is refused.
+    "sweep-n-with-nodes": ["sweep", "--nodes", "999", "--block-size", "8",
+                           "--param", "n", "--values", "16,32"],
+    "sweep-block-size-with-block-size": ["sweep", "--nodes", "64", "--block-size", "999",
+                                         "--param", "block_size", "--values", "4,8"],
     "sweep-not-increasing": SWEEP[:-1] + ["8,4"],
     "sweep-values-empty": SWEEP[:-1] + [""],
     "sweep-parallel": SWEEP + ["--parallel", "2"],
@@ -269,6 +274,15 @@ def test_sweep_over_n_needs_no_nodes(capsys):
                            "--values", "16,32"], capsys)
     assert code == cli.EXIT_OK
     assert len(out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("name, flag", [("sweep-n-with-nodes", "--nodes"),
+                                        ("sweep-block-size-with-block-size", "--block-size")])
+def test_sweep_refuses_the_flag_of_its_parameter(name, flag, capsys):
+    code, out, err = invoke(BAD_INPUTS[name], capsys)
+    assert code == cli.EXIT_USAGE and out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and line.endswith(f"not {flag}")
 
 
 def test_sweep_with_a_late_bad_point_writes_nothing(capsys):

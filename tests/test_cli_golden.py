@@ -35,7 +35,7 @@ COMMANDS = {
                         "--relax-wavefront"],
     "sweep-csv-bpes": ["sweep", "--nodes", "512", "--block-size", "64",
                        "--param", "bpes_per_bank", "--values", "1,4,16,32"],
-    "sweep-csv-block-size": ["sweep", "--nodes", "256", "--block-size", "8",
+    "sweep-csv-block-size": ["sweep", "--nodes", "256",
                              "--param", "block_size", "--values", "16,32,64",
                              "--config", CALIBRATED],
     "sweep-json-channels": ["sweep", "--nodes", "128", "--block-size", "16",

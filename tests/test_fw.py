@@ -484,7 +484,7 @@ def naive_blocked(t):
     return tiles
 
 
-Step = namedtuple("Step", "n pivots sliced live pairs ranks linked relaxed")
+Step = namedtuple("Step", "n pivots sliced live pairs ranks linked relaxed ran")
 
 
 @pytest.fixture
@@ -493,10 +493,18 @@ def spy(monkeypatch):
     (a list) and whether they came as a slice, the live rows (outside the
     pivots, with a pivot entry below the working cap), the live (row, pivot)
     pairs and the most in one row (the ranks) before the call, whether any
-    two pivots then had an entry below the cap between them, and the (row,
-    step) pairs that fw._minplus relaxed during it. Also count every (row,
-    step) pair that fw._minplus relaxes, stacked rows included."""
-    log = SimpleNamespace(steps=[], relaxed=0)
+    two pivots then had an entry below the cap between them, the (row,
+    step) pairs that fw._minplus relaxed during it, and, for a slice, the
+    pivots that fw_blocked's pivot-row pass stepped through before it, in
+    the order run. Also count every (row, step) pair that fw._minplus
+    relaxes, stacked rows included.
+
+    The pass must step through exactly the live pivots of a slice: those
+    with an entry below the cap from another pivot row in their column of
+    the pivot tile. Closing the tile keeps that set (a new entry d[r, t] is
+    a walk whose last entry, from u != t, was there before), so it is read
+    from the tile at the _relax call that follows the pass."""
+    log = SimpleNamespace(steps=[], relaxed=0, calls=[])
     relax, minplus = fw._relax, fw._minplus
 
     def spied_relax(d, pivots, right):
@@ -506,15 +514,30 @@ def spy(monkeypatch):
         count = (d[np.ix_(outside, cols)] < cap).sum(axis=1)
         between = d[np.ix_(cols, cols)] < cap
         np.fill_diagonal(between, False)
+        ran = []
+        if isinstance(pivots, slice):
+            # A pass call over the pivot rows d[pivots]: steps t:t + h, as
+            # their columns (left) and rows (right).
+            rows = d[pivots]
+            for out, shape, left, first, h in log.calls:
+                if (out, shape) == (rows.ctypes.data, rows.shape):
+                    t = (first - d.ctypes.data) // d.strides[0]
+                    assert left == out + t * d.itemsize
+                    ran += range(t, t + h)
+            assert ran == cols[between.any(axis=0)].tolist()
+        log.calls.clear()
         before = log.relaxed
         relax(d, pivots, right)
+        log.calls.clear()
         log.steps.append(Step(len(d), cols.tolist(), isinstance(pivots, slice),
                               int(np.count_nonzero(count)), int(count.sum()),
                               int(count.max(initial=0)), bool(between.any()),
-                              log.relaxed - before))
+                              log.relaxed - before, ran))
 
     def spied_minplus(out, left, right):
         log.relaxed += int(np.prod(out.shape[:-1])) * left.shape[-1]
+        log.calls.append((out.ctypes.data, out.shape, left.ctypes.data,
+                          right.ctypes.data, right.shape[-2]))
         minplus(out, left, right)
 
     monkeypatch.setattr(fw, "_relax", spied_relax)
@@ -850,15 +873,17 @@ class TestLiveRows:
         assert len(paths) == 221 and paths[:3] == ["pairs"] * 3
         assert paths.index("bands") == 3 + 134 and paths.count("bands") == 75
         assert spy.relaxed == sum(step.relaxed for step in spy.steps) == 44_656
-        # fw_blocked's 8 pivot-row passes relax 64 rows over 64 steps each.
-        # In fill order rounds 0-6 make a pass per rank, round 7 gathers its
-        # live rows (109,838 in tile order).
+        # fw_blocked's 8 pivot-row passes step through the 230 live pivots
+        # of 512, over 64 rows each: 14,720 (row, step) pairs, not
+        # 8 * 64 * 64 = 32,768. In fill order rounds 0-6 make a pass per
+        # rank, round 7 gathers its live rows (109,838 in tile order).
         spy.steps.clear()
         spy.relaxed = 0
         fw_blocked(to_tile_major(d, 64))
         assert [taken(step) for step in spy.steps] == ["pairs"] * 7 + ["rows"]
         assert sum(step.relaxed for step in spy.steps) == 27_684
-        assert spy.relaxed == 8 * 64 * 64 + 27_684 == 60_452
+        assert sum(len(step.ran) for step in spy.steps) == 230
+        assert spy.relaxed == 230 * 64 + 27_684 == 42_404
 
     def test_dense_input_sweeps_every_round(self, spy):
         d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
@@ -922,6 +947,55 @@ class TestLiveRows:
         assert np.array_equal(fw_reference(d), scipy_apsp(d))
         sizes = batched(spy.steps, d)
         assert (sizes == []) == (graph in ("path", "cycle"))
+
+
+def cycle(order, unit):
+    """The cycle order[0] -> order[1] -> ... -> order[0], its i-th edge of
+    weight (i + 1) * unit, and every other entry INF."""
+    d = path_graph(len(order), INF)
+    np.fill_diagonal(d, INF)
+    d[order, np.roll(order, -1)] = (np.arange(len(order)) + 1) * unit
+    return d
+
+
+class TestPivotRowPass:
+    """fw_blocked's pivot-row pass steps, per round, through the maximal runs
+    of live pivots only: the t with an entry below the cap in column t of
+    the pivot tile, from another pivot row, when the round starts. Each graph
+    is one 8-cycle at b = 4, so every vertex has in * out = 1: the fill order
+    is the index order, and at every width round 0 closes tile 0..3 and
+    round 1 tile 4..7. The spy checks every round's run against the tile."""
+
+    # The cycle's order: its edges inside tile 0..3 decide round 0's runs.
+    # No edge inside it: the pass is skipped. 0 -> 1 and 2 -> 3: live pivots
+    # 1 and 3, two runs. 0 -> 2 -> 1: pivot 1's only in-entry is from row 2,
+    # so step 1 finds row 0 at INF; step 2 then brings row 0 the distance
+    # to 1 through 2, and all of row 2, which step 1 already closed.
+    CYCLES = {"skipped": [0, 4, 1, 5, 2, 6, 3, 7],
+              "two-runs": [0, 1, 4, 2, 3, 5, 6, 7],
+              "reached": [0, 2, 1, 4, 3, 5, 6, 7]}
+    # Edge units that run an 8-vertex graph at each width (edges up to 8 units).
+    UNITS = {"uint16": 1, "uint32": 2_000, "uint64": 100_000_000}
+
+    @pytest.mark.parametrize("width", UNITS)
+    @pytest.mark.parametrize("diagonal", ["zero", "positive", "INF"])
+    @pytest.mark.parametrize("graph", CYCLES)
+    def test_live_pivots_run(self, spy, widths, graph, width, diagonal):
+        unit = self.UNITS[width]
+        d = cycle(self.CYCLES[graph], unit)
+        np.fill_diagonal(d, {"zero": 0, "positive": unit, "INF": INF}[diagonal])
+        t = to_tile_major(d, 4)
+        want, naive = scalar_fw(d), naive_blocked(t)
+        widths.clear()
+        spy.steps.clear()
+        out = fw_blocked(t)
+        assert widths == [[getattr(np, width)]]
+        assert np.array_equal(out, naive)
+        assert np.array_equal(from_tile_major(out, 8), want)
+        # Round 1's tile holds the cycle's edges inside it, and each edge
+        # from it back into it through tile 0..3: every column is live.
+        first = {"skipped": [], "two-runs": [1, 3], "reached": [1, 2]}[graph]
+        assert [step.ran for step in spy.steps] == [first, [4, 5, 6, 7]]
 
 
 class TestPaths:
@@ -1062,3 +1136,47 @@ class TestCheck:
         assert np.array_equal(out, naive)
         assert np.array_equal(from_tile_major(out, n), want)
         assert widths == [[np.uint16, np.uint32]] * 2
+
+
+class TestCapMapping:
+    """_closure reads w from d's int32 view, where INF reads -1, and takes the
+    masked max when an entry reads below -1, 2^31 or more. After a narrow
+    pass it maps the cap to all ones, INF once widened, and keeps every
+    entry below it: a distance at the uint16 or uint32 cap - 1 or at the cap
+    is a plain distance in the wider width that keeps it."""
+
+    CASES = {
+        # One vertex: w * 1 < cap tries the narrow width, and the check fails.
+        "uint16-cap-1": ([[CAP16 - 1]], [np.uint16, np.uint32]),
+        "uint16-cap": ([[CAP16]], [np.uint32]),
+        # 2100 * 15 + 1266 = 2^15 - 2: distances at the cap - 1 and the cap.
+        "uint16-path-to-cap": (chain([2100] * 15 + [1266, 1]), [np.uint16, np.uint32]),
+        "uint32-cap-1": ([[2**31 - 2]], [np.uint32, np.uint64]),
+        "uint32-cap": ([[2**31 - 1]], [np.uint64]),
+        # 400,000,000 * 5 + 147,483,646 = 2^31 - 2.
+        "uint32-path-to-cap": (chain([400_000_000] * 5 + [147_483_646, 1]),
+                               [np.uint32, np.uint64]),
+        "all-INF": (np.full((5, 5), INF), [np.uint16]),
+        "n=0": (np.zeros((0, 0)), [np.uint16]),
+        "n=1": ([[0]], [np.uint16]),
+        # 2^31 reads as -2^31 in int32: the masked max finds it.
+        "entry-2^31": ([[0, 2**31], [5, 0]], [np.uint64]),
+        "entry-INF-1": ([[0, 7, INF - 1], [INF, 0, 3], [INF, INF, INF]], [np.uint64]),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_against_scalar_fw(self, name, widths):
+        d, tried = self.CASES[name]
+        d = np.asarray(d, dtype=np.uint32)
+        n = len(d)
+        want = scalar_fw(d)
+        if name.endswith("to-cap"):
+            last = int(d[np.arange(n - 1), np.arange(1, n)].sum())
+            assert want[0, n - 2] == last - 1 and want[0, n - 1] == last
+        assert np.array_equal(fw_reference(d), want)
+        t = to_tile_major(d, max(n, 1))
+        assert np.array_equal(from_tile_major(fw_blocked(t), n), want)
+        if n > 1:
+            t = to_tile_major(d, 1)
+            assert np.array_equal(from_tile_major(fw_blocked(t), n), want)
+        assert widths == [tried] * (3 if n > 1 else 2)
