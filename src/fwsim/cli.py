@@ -258,9 +258,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _add_workload_flags(p, verify=False, sweep=False):
-    p.add_argument("--block-size", type=int, required=not sweep,
-                   help="tile dimension B" + (" (not needed to sweep block_size)" if sweep else ""))
+def _add_workload_flags(p, verify=False):
     p.add_argument("--config", default="default",
                    help="config JSON path, or 'default'")
     p.add_argument("--out", help="output path (default: stdout)")
@@ -286,6 +284,7 @@ def make_parser() -> argparse.ArgumentParser:
     workload = p_run.add_mutually_exclusive_group(required=True)
     workload.add_argument("--nodes", type=int, help="synthetic workload size N")
     workload.add_argument("--graph", help="edge-list file (u v [w], '#' comments)")
+    p_run.add_argument("--block-size", type=int, required=True, help="tile dimension B")
     _add_workload_flags(p_run)
     p_run.add_argument("--undirected", action="store_true",
                        help="treat the edge list as undirected (the report is the "
@@ -294,13 +293,16 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="check the blocked result against the reference")
     p_verify.add_argument("--nodes", type=int, required=True, help="synthetic workload size N")
+    p_verify.add_argument("--block-size", type=int, required=True, help="tile dimension B")
     _add_workload_flags(p_verify, verify=True)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="sweep one design parameter, emit CSV/JSON")
     p_sweep.add_argument("--nodes", type=int,
                          help="synthetic workload size N (not needed to sweep n)")
-    _add_workload_flags(p_sweep, sweep=True)
+    p_sweep.add_argument("--block-size", type=int,
+                         help="tile dimension B (not needed to sweep block_size)")
+    _add_workload_flags(p_sweep)
     p_sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     p_sweep.add_argument("--values", required=True,
                          type=lambda s: [int(v) for v in s.split(",")],

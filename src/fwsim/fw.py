@@ -9,9 +9,10 @@ and keeps the result if the largest entry below the cap, plus w, is below it
 too; else it reruns one width up. uint64, capped at INF, is always kept. A
 finite distance or cycle at the cap fails the check: a prefix of its shortest
 path or cycle is a shortest distance, exact in [cap - w, cap). No mask finds
-the cap: w is the max of d's int32 view, where INF reads -1, and a narrow
-pass maps its cap to all ones, x | ((x + 1) & (cap + 1)), which the signed
-view reads as -1 and the uint32 result, sign-extended from uint16, as INF.
+the cap: w is the max of d's int32 view, where INF reads -1 (an entry of
+2^31 or more reads below -1 and forces uint64), and a narrow pass maps its
+cap to all ones, x | ((x + 1) & (cap + 1)), which the signed view reads as
+-1 and the uint32 result, sign-extended from uint16, as INF.
 Both kernels relax their row-major working copy through one row sweep,
 _relax, which skips the (row, pivot) pairs at the cap, in the fill-reducing
 _pivot_order: fw_reference by batches, fw_blocked by rounds; any order gives
@@ -45,8 +46,9 @@ def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
     as the working copy is cast from it unchecked: -1 would wrap, 3.7 would
     truncate and 2^40 would read as INF.
 
-    w is the largest entry of d's int32 view, where INF reads -1; only an
-    entry in [2^31, INF) reads below -1 and takes the masked max instead.
+    w is the largest entry of d's int32 view, where INF reads -1. An entry
+    in [2^31, INF) reads below -1 and sets w to INF instead, which forces
+    uint64: any entry of 2^31 or more fails every narrower width anyway.
     After a narrow pass, x | ((x + 1) & (cap + 1)) maps the cap, 2^15 - 1 or
     2^31 - 1, to all ones and leaves every x < cap as it is, so the check's
     largest entry below the cap is the max of work's signed view, and the
@@ -55,10 +57,7 @@ def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
     if d.dtype != np.uint32:
         raise ConfigError(f"distance matrices must be uint32, got {d.dtype}")
     signed = d.view(np.int32)
-    if signed.min(initial=0) < -1:
-        w = int(np.max(d, where=d != INF, initial=0))
-    else:
-        w = int(signed.max(initial=0))
+    w = int(signed.max(initial=0)) if signed.min(initial=0) >= -1 else INF
     for dtype, cap in _CAPS.items():
         if w * n.bit_length() < cap or cap == INF:
             # A uint16 working copy is the back half of the uint32 result's

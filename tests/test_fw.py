@@ -1139,8 +1139,8 @@ class TestCheck:
 
 
 class TestCapMapping:
-    """_closure reads w from d's int32 view, where INF reads -1, and takes the
-    masked max when an entry reads below -1, 2^31 or more. After a narrow
+    """_closure reads w from d's int32 view, where INF reads -1; an entry of
+    2^31 or more reads below -1 and forces uint64. After a narrow
     pass it maps the cap to all ones, INF once widened, and keeps every
     entry below it: a distance at the uint16 or uint32 cap - 1 or at the cap
     is a plain distance in the wider width that keeps it."""
@@ -1159,7 +1159,7 @@ class TestCapMapping:
         "all-INF": (np.full((5, 5), INF), [np.uint16]),
         "n=0": (np.zeros((0, 0)), [np.uint16]),
         "n=1": ([[0]], [np.uint16]),
-        # 2^31 reads as -2^31 in int32: the masked max finds it.
+        # 2^31 reads as -2^31 in int32 and forces uint64, as does INF - 1.
         "entry-2^31": ([[0, 2**31], [5, 0]], [np.uint64]),
         "entry-INF-1": ([[0, 7, INF - 1], [INF, 0, 3], [INF, INF, INF]], [np.uint64]),
     }
