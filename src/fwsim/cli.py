@@ -93,6 +93,8 @@ def cmd_run(args) -> int:
     n = args.nodes
     if args.graph is not None:
         n = load_edge_list(args.graph, directed=not args.undirected).num_vertices
+    elif args.undirected:
+        raise ConfigError("--undirected needs --graph")
     result = _simulate(n, args.block_size, cfg, args.relax_wavefront)
     _write_text(args.out, _json_dumps(build_report(result, cfg, args.graph)))
     return EXIT_OK
@@ -287,8 +289,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--block-size", type=int, required=True, help="tile dimension B")
     _add_workload_flags(p_run)
     p_run.add_argument("--undirected", action="store_true",
-                       help="treat the edge list as undirected (the report is the "
-                            "same either way: only the vertex count is read)")
+                       help="treat the edge list as undirected; needs --graph (the "
+                            "report is the same either way: only the vertex count is read)")
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="check the blocked result against the reference")

@@ -15,10 +15,10 @@ cap to all ones, x | ((x + 1) & (cap + 1)), which the signed view reads as
 -1 and the uint32 result, sign-extended from uint16, as INF.
 Both kernels relax their row-major working copy through one row sweep,
 _relax, which skips the (row, pivot) pairs at the cap, in the fill-reducing
-_pivot_order: fw_reference by batches, fw_blocked by rounds; any order gives
-one closure. fw_blocked's pivot-row pass skips the steps of the pivots with
-no entry below the cap from another pivot row in their column of the pivot
-tile: no walk inside the tile reaches them, so their steps change no row.
+_pivot_order: fw_reference by batches, fw_blocked by rounds, one at m = 1;
+any order gives one closure. fw_blocked's pivot-row pass skips the steps of
+pivots with no entry below the cap from another pivot row in their column
+of the pivot tile: no walk inside it reaches them, so they change no row.
 """
 
 from __future__ import annotations
@@ -259,13 +259,13 @@ def fw_blocked(tiles: np.ndarray) -> np.ndarray:
     Round k, K the rows and columns of pivot tile k, P = d[K, K], R = d[K]:
     aliased _minplus calls run FW steps K on rows K alone, which read only
     rows K, so they close P and turn R into Q (x) R, Q = I (+) P (the pivot
-    and pivot-row phases; at m = 1 one call over all of d, the whole
+    and pivot-row phases; at m = 1 K is every row, and this is the whole
     closure). _relax runs steps K on every other row against these rows:
     pre-round pivot columns C give C (x) Q (x) R, and the K columns
     C (+) C (x) P = C (x) Q, the pivot-column phase too. The four-phase tile
     order lives in the scheduler and the tests' naive_blocked.
 
-    With m > 1 the pivot-row pass steps only through the live pivots: the t
+    At every m the pivot-row pass steps only through the live pivots: the t
     of K with an off-diagonal entry below the cap in column t of P when the
     round starts, one call per maximal run of them, ascending. A step t that
     is not live changes no row, whatever the diagonal: an entry d[r, t],
@@ -274,20 +274,17 @@ def fw_blocked(tiles: np.ndarray) -> np.ndarray:
     t of rows K stays at the cap off the diagonal, and row t gains nothing
     from d[t, t] + d[t]. A round with no live pivot skips the pass.
 
-    With m > 1 and a spare array from _closure, d is permuted into
-    _pivot_order (score-0 and padding vertices first) for the rounds, so the
-    dense core falls in the last ones; unless the first b pivots' fill (at
-    most the sum of their scores) reaches n * m entries, one per row and
-    round, so that every round sweeps anyway. Returns an (m, m, b, b) view
-    of the row-major result, equal to fw_reference's.
+    With a spare array from _closure, d is permuted into _pivot_order
+    (score-0 and padding vertices first) for the rounds, so the dense core
+    falls in the last ones; unless the first b pivots' fill (at most the sum
+    of their scores) reaches n * m entries, one per row and round, so that
+    every round sweeps anyway. Returns an (m, m, b, b) view of the row-major
+    result, equal to fw_reference's.
     """
     m, b = _tile_grid(tiles)
     n = m * b
 
     def rounds(d: np.ndarray, spare) -> None:
-        if m == 1:
-            _minplus(d, d, d)
-            return
         order, score = _pivot_order(d) if spare is not None else (None, None)
         permute = order is not None and score[order[:b]].sum() < n * m
         if permute:  # rows into spare, columns back; a "clip" take writes unbuffered

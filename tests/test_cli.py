@@ -80,6 +80,8 @@ BAD_INPUTS = {
     "run-graph-and-nodes": ["run", "--graph", "{tmp}/edges.txt", "--nodes", "5",
                             "--block-size", "2"],
     "run-graph-not-utf8": ["run", "--graph", "{tmp}/not_utf8.txt", "--block-size", "2"],
+    "run-undirected-without-graph": ["run", "--nodes", "16", "--block-size", "4",
+                                     "--undirected"],
     "run-config-not-utf8": RUN + ["--config", "{tmp}/not_utf8.json"],
     "run-config-directory": RUN + ["--config", "{tmp}/directory"],
     "run-config-missing": RUN + ["--config", "{tmp}/missing.json"],
@@ -283,6 +285,17 @@ def test_sweep_refuses_the_flag_of_its_parameter(name, flag, capsys):
     assert code == cli.EXIT_USAGE and out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and line.endswith(f"not {flag}")
+
+
+def test_undirected_needs_a_graph(files, capsys):
+    code, out, err = invoke(BAD_INPUTS["run-undirected-without-graph"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "error: --undirected needs --graph\n"
+    # With a graph it reads the same vertex count either way.
+    graph = ["run", "--graph", files / "edges.txt", "--block-size", "2"]
+    directed = invoke(graph, capsys)
+    assert directed[0] == cli.EXIT_OK
+    assert invoke(graph + ["--undirected"], capsys) == directed
 
 
 def test_sweep_with_a_late_bad_point_writes_nothing(capsys):

@@ -836,8 +836,11 @@ class TestLiveRows:
             want = naive_blocked(t)
             spy.steps.clear()
             assert np.array_equal(fw_blocked(t), want)
-            assert len(spy.steps) == (len(t) if len(t) > 1 else 0)
-            assert "bands" not in [taken(step) for step in spy.steps]
+            assert len(spy.steps) == len(t)
+            paths = [taken(step) for step in spy.steps]
+            # At m = 1 the round's pivots are every row, so each path costs
+            # 0 and the tie goes to bands, which sweeps no other row.
+            assert (paths == ["bands"]) if len(t) == 1 else ("bands" not in paths)
 
     @pytest.mark.parametrize("diagonal", [0, 5, INF], ids=["zero", "positive", "INF"])
     def test_dead_pivots_are_skipped(self, spy, widths, diagonal):
@@ -884,6 +887,17 @@ class TestLiveRows:
         assert sum(step.relaxed for step in spy.steps) == 27_684
         assert sum(len(step.ran) for step in spy.steps) == 230
         assert spy.relaxed == 230 * 64 + 27_684 == 42_404
+        # At b = 512 (m = 1) the one round's pass steps through the 471 live
+        # pivots of 512, in 37 calls, one per maximal run, over all 512 rows:
+        # 241,152 (row, step) pairs, not the 262,144 of one dense closure.
+        # Its _relax finds no row outside the pivots.
+        spy.steps.clear()
+        spy.relaxed = 0
+        fw_blocked(to_tile_major(d, 512))
+        [step] = spy.steps
+        assert step.relaxed == 0 and len(step.ran) == 471
+        assert 1 + np.count_nonzero(np.diff(step.ran) > 1) == 37
+        assert spy.relaxed == 471 * 512 == 241_152
 
     def test_dense_input_sweeps_every_round(self, spy):
         d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
@@ -922,7 +936,7 @@ class TestLiveRows:
         assert widths[-1] == [getattr(np, width)]
         assert [step.pivots for step in spy.steps] == [[k] for k in range(n // 2)]
         assert taken(spy.steps[0]) == "bands"
-        for b in (1, 4):
+        for b in (1, 4, n):
             t = to_tile_major(d, b)
             want = naive_blocked(t)
             spy.steps.clear()
@@ -931,6 +945,9 @@ class TestLiveRows:
             dead, swept = (0, half) if width == "uint16" else (half, 0)
             assert taken(spy.steps[swept]) == "bands"
             assert [step.relaxed for step in spy.steps[dead:dead + half]] == [0] * half
+        # At b = n (m = 1) the one round's pass runs the first half's steps,
+        # one call, and none of the second half's.
+        assert [step.ran for step in spy.steps] == [list(range(n // 2))]
 
     @pytest.mark.parametrize("graph", ["sparse-256", "path", "cycle", "3-row-windows"])
     def test_batches_are_independent_and_cover_the_order(self, monkeypatch, spy, graph):
