@@ -15,10 +15,10 @@ cap to all ones, x | ((x + 1) & (cap + 1)), which the signed view reads as
 -1 and the uint32 result, sign-extended from uint16, as INF.
 Both kernels relax their row-major working copy through one row sweep,
 _relax, which skips the (row, pivot) pairs at the cap, in the fill-reducing
-_pivot_order: fw_reference by batches, fw_blocked by rounds, one at m = 1;
-any order gives one closure. fw_blocked's pivot-row pass skips the steps of
-pivots with no entry below the cap from another pivot row in their column
-of the pivot tile: no walk inside it reaches them, so they change no row.
+_pivot_order: fw_reference by windows of it, fw_blocked by rounds; any
+order gives one closure. Each closes its window's or round's rows first,
+skipping the steps of pivots with no entry below the cap from another of
+those rows in their column: no walk inside them reaches such a pivot.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ _CAPS = {np.uint16: 2**15 - 1, np.uint32: 2**31 - 1, np.uint64: INF}
 # A gathered _minplus call's fixed cost, about 13 us on the Intel Xeon, as
 # the entries a band relaxes in that time.
 _CALL = 32_768
+# Pivots per fw_reference window: 64 beat 32 and 128 at n = 256 and 512 on the
+# Intel Xeon (n = 512, density 0.005: 7.5 against 7.6 and 8.7 ms).
+_WINDOW = 64
 
 
 def _closure(d: np.ndarray, n: int, loop) -> np.ndarray:
@@ -158,7 +161,7 @@ def _relax(d: np.ndarray, pivots, right: np.ndarray) -> None:
             for r in range(start, stop, band):
                 block = d[r:min(r + band, stop)]
                 _minplus(block, block[:, pivots], right)
-    elif path == "rows" or h == 1:
+    elif path == "rows":
         for r in range(0, len(live), band):
             block = d[live[r:r + band]]
             _minplus(block, block[:, pivots], right)
@@ -221,15 +224,16 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
     closure: after the steps over a set S, d[i, j] is the shortest walk with
     inner vertices in S.
 
-    Multiple elimination (J. W. H. Liu, ACM TOMS 11(2), 1985): one _relax
-    runs the s pivots of the next band W with no entry below the cap to or
-    from an earlier one of W (fixed points of each other's steps, so closed),
-    while the s - 1 calls of _CALL it saves outweigh W's scan, 4 |W| n entries.
+    The pivots run in windows W of _WINDOW, as fw_blocked's rounds: aliased
+    _minplus calls step through W's live pivots (fw_blocked's rule, read from
+    g[:, W]) on the gathered rows g = d[W], which read only rows W, and close
+    them; then d[W] = g, and _relax runs steps W on the other rows against g.
 
     Holds one buffer of 4 * n^2 bytes, 8 * n^2 in uint64 (64 or 128 MiB at the
     functional guard, n = 4096), for the working copy (2 * n^2 bytes of it in
-    uint16) and the result; a band and its scratch, and a batch's mask and
-    pivot rows, take _CHUNK_BYTES each, and the pivot order and scores 2n ints.
+    uint16) and the result; a window's rows, their _minplus scratch and
+    _relax's pivot columns, _WINDOW * n entries each, and the columns' mask; a
+    band and its scratch, _CHUNK_BYTES each; and the pivot order and scores.
     """
     n = d.shape[0]
     if d.shape != (n, n):
@@ -237,19 +241,15 @@ def fw_reference(d: np.ndarray) -> np.ndarray:
 
     def steps(out: np.ndarray, _) -> None:
         order, score = _pivot_order(out)
-        rest = order[np.count_nonzero(score == 0):]
-        while len(rest) > 1:
-            window = rest[:max(1, _CHUNK_BYTES // (n * out.itemsize))]
-            linked = np.take(out[window], window, axis=1) < _CAPS[out.dtype.type]
-            j, i = np.divmod(np.flatnonzero(linked), len(window))
-            # The later of each linked pair waits.
-            wait = np.bincount(np.maximum(i, j)[i != j], minlength=len(window)) > 0
-            if (np.count_nonzero(~wait) - 1) * _CALL <= 4 * len(window) * n:
-                break
-            _relax(out, window[~wait], out[window[~wait]])
-            rest = np.concatenate([window[wait], rest[len(window):]])
-        for k in rest.tolist():
-            _relax(out, slice(k, k + 1), out[k:k + 1])
+        rest, cap = order[np.count_nonzero(score == 0):], _CAPS[out.dtype.type]
+        for s in range(0, len(rest), _WINDOW):
+            w = rest[s:s + _WINDOW]
+            g = out[w]
+            inner = g[:, w] < cap
+            for t in np.flatnonzero(inner.sum(axis=0) > np.diagonal(inner)).tolist():
+                _minplus(g, g[:, w[t]:w[t] + 1], g[t:t + 1])
+            out[w] = g
+            _relax(out, w, g)
     return _closure(d, n, steps)
 
 

@@ -7,6 +7,7 @@ blocked variant is then checked element-exact against the reference.
 
 import tracemalloc
 from collections import namedtuple
+from functools import cache
 from itertools import permutations
 from types import SimpleNamespace
 
@@ -484,7 +485,7 @@ def naive_blocked(t):
     return tiles
 
 
-Step = namedtuple("Step", "n pivots sliced live pairs ranks linked relaxed ran")
+Step = namedtuple("Step", "n pivots sliced live pairs ranks relaxed ran")
 
 
 @pytest.fixture
@@ -492,18 +493,18 @@ def spy(monkeypatch):
     """Record a Step for each fw._relax call: the matrix order n, the pivots
     (a list) and whether they came as a slice, the live rows (outside the
     pivots, with a pivot entry below the working cap), the live (row, pivot)
-    pairs and the most in one row (the ranks) before the call, whether any
-    two pivots then had an entry below the cap between them, the (row,
-    step) pairs that fw._minplus relaxed during it, and, for a slice, the
-    pivots that fw_blocked's pivot-row pass stepped through before it, in
-    the order run. Also count every (row, step) pair that fw._minplus
-    relaxes, stacked rows included.
+    pairs and the most in one row (the ranks) before the call, the (row,
+    step) pairs that fw._minplus relaxed during it, and the pivots whose
+    steps closed the pivot rows before it, in the order run: fw_blocked's
+    pivot-row pass over a slice, or fw_reference's steps over its gathered
+    window. Also count every (row, step) pair that fw._minplus relaxes,
+    stacked rows included.
 
-    The pass must step through exactly the live pivots of a slice: those
-    with an entry below the cap from another pivot row in their column of
-    the pivot tile. Closing the tile keeps that set (a new entry d[r, t] is
-    a walk whose last entry, from u != t, was there before), so it is read
-    from the tile at the _relax call that follows the pass."""
+    The closing steps must be exactly the live pivots: those with an entry
+    below the cap from another pivot row in their column of the pivot rows.
+    Closing the rows keeps that set (a new entry d[r, t] is a walk whose
+    last entry, from u != t, was there before), so it is read from the
+    closed rows at the _relax call that follows."""
     log = SimpleNamespace(steps=[], relaxed=0, calls=[])
     relax, minplus = fw._relax, fw._minplus
 
@@ -514,25 +515,23 @@ def spy(monkeypatch):
         count = (d[np.ix_(outside, cols)] < cap).sum(axis=1)
         between = d[np.ix_(cols, cols)] < cap
         np.fill_diagonal(between, False)
+        # A closing call over the pivot rows right (the view d[pivots] of a
+        # slice, or a window's gathered rows): steps t:t + h of right, as
+        # columns cols[t:t + h] (left) and rows right[t:t + h].
         ran = []
-        if isinstance(pivots, slice):
-            # A pass call over the pivot rows d[pivots]: steps t:t + h, as
-            # their columns (left) and rows (right).
-            rows = d[pivots]
-            for out, shape, left, first, h in log.calls:
-                if (out, shape) == (rows.ctypes.data, rows.shape):
-                    t = (first - d.ctypes.data) // d.strides[0]
-                    assert left == out + t * d.itemsize
-                    ran += range(t, t + h)
-            assert ran == cols[between.any(axis=0)].tolist()
+        for out, shape, left, first, h in log.calls:
+            if (out, shape) == (right.ctypes.data, right.shape):
+                t = (first - out) // right.strides[0]
+                assert left == out + cols[t] * d.itemsize
+                ran += cols[t:t + h].tolist()
+        assert ran == cols[between.any(axis=0)].tolist()
         log.calls.clear()
         before = log.relaxed
         relax(d, pivots, right)
         log.calls.clear()
         log.steps.append(Step(len(d), cols.tolist(), isinstance(pivots, slice),
                               int(np.count_nonzero(count)), int(count.sum()),
-                              int(count.max(initial=0)), bool(between.any()),
-                              log.relaxed - before, ran))
+                              int(count.max(initial=0)), log.relaxed - before, ran))
 
     def spied_minplus(out, left, right):
         log.relaxed += int(np.prod(out.shape[:-1])) * left.shape[-1]
@@ -571,17 +570,17 @@ def taken(step):
     return path
 
 
-def batched(steps, d):
-    """Check fw_reference's calls: batches of index-array pivots, no two
-    linked when the batch ran, then one slice step per pivot; together they
-    take kept_pivots(d) once each. Returns the batch sizes."""
-    sizes = [len(step.pivots) for step in steps if not step.sliced]
-    assert [step.sliced for step in steps] == [False] * len(sizes) + [True] * (len(steps) - len(sizes))
-    assert not any(step.linked for step in steps[:len(sizes)])
-    assert all(size > 1 for size in sizes)
-    done = [k for step in steps for k in step.pivots]
-    assert sorted(done) == sorted(kept_pivots(d))
-    return sizes
+def windowed(steps, d, passes=1):
+    """Check fw_reference's calls over its passes (widths tried): one
+    index-array _relax per window, the windows kept_pivots(d) in order,
+    fw._WINDOW at a time (the last may be shorter); the spy checks that each
+    window's closing steps are its live pivots. Returns the closing steps
+    of each window."""
+    kept = kept_pivots(d)
+    assert [step.pivots for step in steps] == [
+        kept[s:s + fw._WINDOW] for s in range(0, len(kept), fw._WINDOW)] * passes
+    assert not any(step.sliced for step in steps)
+    return [step.ran for step in steps]
 
 
 class TestBlocked:
@@ -755,9 +754,10 @@ def kept_pivots(d):
 class TestLiveRows:
     """Both kernels skip the (row, pivot) pairs whose pivot entry sits at the
     working cap (2^15 - 1 in uint16, 2^31 - 1 in uint32, INF in uint64), and
-    fw_reference the pivots that have no in- or no out-entry. At every batch,
-    step or round _relax sweeps contiguous bands, gathers the live rows, or
-    makes one pass per rank over the live pairs, whichever costs least."""
+    fw_reference the pivots that have no in- or no out-entry. At every
+    window, step or round _relax sweeps contiguous bands, gathers the live
+    rows, or makes one pass per rank over the live pairs, whichever costs
+    least."""
 
     # Edge weights that run a 40-vertex graph at each width.
     WEIGHTS = {"uint16": (1, 100), "uint32": (40_000, 50_000),
@@ -770,18 +770,18 @@ class TestLiveRows:
     @pytest.mark.parametrize("width", WEIGHTS)
     @pytest.mark.parametrize("chunk", [65_536, 120], ids=["one-band", "3-row-bands"])
     def test_gathers_then_switches(self, monkeypatch, spy, widths, width, chunk):
-        # chunk counts entries of the working width. At n = 40 a batch's scan
-        # is cheap, so fw_reference batches while two pivots of its window are
-        # free (the window is every pivot left at one band, 3 at 3-row bands);
-        # its batches gather their live rows.
+        # chunk counts entries of the working width. At n = 40 the 33 to 35
+        # kept pivots fill one window of 64, so fw_reference runs in windows
+        # of 8: five, the first of which gather their live rows; the later,
+        # denser ones sweep.
         monkeypatch.setattr(fw, "_CHUNK_BYTES", chunk * np.dtype(width).itemsize)
+        monkeypatch.setattr(fw, "_WINDOW", 8)
         for seed in range(3):
             d = self.sparse(40, width, 40 + seed)
             spy.steps.clear()
             assert np.array_equal(fw_reference(d), scalar_fw(d))
             assert widths[-1] == [getattr(np, width)]
-            sizes = batched(spy.steps, d)
-            assert len(sizes) >= 2 and max(sizes) <= (3 if chunk == 120 else 40)
+            assert len(windowed(spy.steps, d)) == 5
             paths = [taken(step) for step in spy.steps]
             assert paths[0] == "rows" and "bands" in paths
             t = to_tile_major(d, 4)
@@ -803,9 +803,11 @@ class TestLiveRows:
         spy.steps.clear()
         assert np.array_equal(fw_reference(d), want)
         assert widths[-1] == [np.uint64]
-        # Vertices 1 and 6 have in- and out-entries: 6 -> 1 and 1 -> 2. They
-        # are linked, so neither runs in a batch.
-        assert [step.pivots for step in spy.steps] == [[6], [1]]
+        # Vertices 6 and 1 have in- and out-entries (6 -> 1 and 1 -> 2), of
+        # in * out 1 and 3: one window, closed by step 1 alone, as 6 -> 1 is
+        # its one inner entry.
+        assert windowed(spy.steps, d) == [[1]]
+        assert [step.pivots for step in spy.steps] == [[6, 1]]
         for b in (1, 2, 3):
             out = fw_blocked(to_tile_major(d, b))
             assert np.array_equal(out, naive[b])
@@ -826,11 +828,13 @@ class TestLiveRows:
             d[[0, 1, 2], [1, 2, 0]] = 100
         assert np.array_equal(fw_reference(d), scalar_fw(d))
         assert widths == [[getattr(np, width) if n else np.uint16]]
-        # Only the 3-cycle's vertices are pivots, linked, so one step each,
-        # gathering its one live row.
-        pivots = [[0], [1], [2]] if graph == "isolated" else []
+        # Only the 3-cycle's vertices are pivots: one window, which each of
+        # them closes, and finds no live row outside it, so it gathers none.
+        pivots = [[0, 1, 2]] if graph == "isolated" else []
+        assert windowed(spy.steps, d) == pivots
         assert [step.pivots for step in spy.steps] == pivots
         assert [taken(step) for step in spy.steps] == ["rows"] * len(pivots)
+        assert spy.relaxed == 3 * 3 * len(pivots)
         for b in (1, 3):
             t = to_tile_major(d, b)
             want = naive_blocked(t)
@@ -856,26 +860,27 @@ class TestLiveRows:
         assert want[3, 4] == 3 and want[6, 7] == 2
         assert np.array_equal(fw_reference(d), want)
         assert widths == [[np.uint16]]
-        assert [step.pivots for step in spy.steps] == [[0], [2], [1]]
         assert kept_pivots(d) == [0, 2, 1]
+        assert windowed(spy.steps, d) == [[0, 2, 1]]
         for b in (1, 3):
             t = to_tile_major(d, b)
             assert np.array_equal(fw_blocked(t), naive_blocked(t))
 
     def test_relaxed_row_count(self, spy):
-        # fw_reference skips 76 of the 512 pivots. Of the other 436, 218 run
-        # in 3 batches of 124, 59 and 35, each a pass per rank over its live
-        # pairs. Of the 218 single steps, 143 gather their live rows and 75
-        # sweep all 512 rows, the first of them the 135th. That is 44,656
-        # relaxed (row, step) pairs of the dense 512^2 = 262,144, and 91,199
+        # fw_reference skips 76 of the 512 pivots. The other 436 run in 7
+        # windows, 6 of 64 and one of 52. Their closing steps, 223 of the
+        # 436, relax the window's rows: 171 * 64 + 52 * 52 = 13,648 (row,
+        # step) pairs. The first 6 windows' _relax calls make a pass per rank
+        # over their live pairs, the last gathers its 399 live rows: 24,541
+        # pairs more. That is 38,189 of the dense 512^2 = 262,144, and 91,199
         # with the pivots one at a time in index order.
         d = build_distance_matrix(gen_synthetic(512, 0.005, seed=1))
         fw_reference(d)
-        assert batched(spy.steps, d) == [124, 59, 35]
-        paths = [taken(step) for step in spy.steps]
-        assert len(paths) == 221 and paths[:3] == ["pairs"] * 3
-        assert paths.index("bands") == 3 + 134 and paths.count("bands") == 75
-        assert spy.relaxed == sum(step.relaxed for step in spy.steps) == 44_656
+        ran = windowed(spy.steps, d)
+        assert [len(steps) for steps in ran] == [10, 7, 19, 24, 49, 62, 52]
+        assert [taken(step) for step in spy.steps] == ["pairs"] * 6 + ["rows"]
+        assert sum(step.relaxed for step in spy.steps) == 24_541
+        assert spy.relaxed == 171 * 64 + 52 * 52 + 24_541 == 38_189
         # fw_blocked's 8 pivot-row passes step through the 230 live pivots
         # of 512, over 64 rows each: 14,720 (row, step) pairs, not
         # 8 * 64 * 64 = 32,768. In fill order rounds 0-6 make a pass per
@@ -903,26 +908,23 @@ class TestLiveRows:
         d = build_distance_matrix(gen_synthetic(512, 0.5, seed=1))
         fw_blocked(to_tile_major(d, 64))
         assert [taken(step) for step in spy.steps] == ["bands"] * 8
-        # fw_reference's first window has too few free pivots to pay for a
-        # batch. Its first pivot, the vertex of least in * out, finds 236 of
-        # the 511 rows live, under the half that a gather may cost at h = 1,
-        # so it gathers them, and so does its third; each of the 510 other
-        # steps sweeps all 512 rows.
+        # fw_reference's 8 windows of 64 each run all 64 closing steps over
+        # their rows, then sweep all 512 rows: each of the 448 rows outside
+        # the window is live, and a gather costs a step more than the sweep.
         spy.steps.clear()
         spy.relaxed = 0
         fw_reference(d)
-        paths = [taken(step) for step in spy.steps]
-        assert paths == ["rows", "bands", "rows"] + ["bands"] * 509
-        assert all(step.sliced for step in spy.steps)
-        assert spy.steps[0].live == 236
-        assert spy.relaxed == 236 + spy.steps[2].live + 510 * 512
+        assert windowed(spy.steps, d) == [list(step.pivots) for step in spy.steps]
+        assert [taken(step) for step in spy.steps] == ["bands"] * 8
+        assert [step.live for step in spy.steps] == [448] * 8
+        assert spy.relaxed == 8 * (64 * 64 + 64 * 512) == 294_912
 
     @pytest.mark.parametrize("width", WEIGHTS)
     def test_steps_into_vertices_without_in_edges_relax_nothing(self, spy, widths, width):
         # Every vertex has edges to all of the first half; no vertex of the
         # second half has an in-edge. fw_reference runs only the first half's
-        # steps, one at a time (each is linked to all the others), in index
-        # order (in * out is 39 * 19 for each), and its first step sweeps. In
+        # steps, one window in index order (in * out is 39 * 19 for each),
+        # each step closing it, and its _relax sweeps. In
         # fw_blocked's tile order, from round m / 2 on, no row is live; at
         # uint16 the fill order puts the second half's vertices, of score 0,
         # in the first m / 2 rounds, which find no row live.
@@ -934,7 +936,7 @@ class TestLiveRows:
         np.fill_diagonal(d, 0)
         assert np.array_equal(fw_reference(d), scalar_fw(d))
         assert widths[-1] == [getattr(np, width)]
-        assert [step.pivots for step in spy.steps] == [[k] for k in range(n // 2)]
+        assert windowed(spy.steps, d) == [list(range(n // 2))]
         assert taken(spy.steps[0]) == "bands"
         for b in (1, 4, n):
             t = to_tile_major(d, b)
@@ -951,9 +953,10 @@ class TestLiveRows:
 
     @pytest.mark.parametrize("graph", ["sparse-256", "path", "cycle", "3-row-windows"])
     def test_batches_are_independent_and_cover_the_order(self, monkeypatch, spy, graph):
-        # batched checks each batch's pivots for an entry below the cap
-        # between two of them when it runs, and that batches and single steps
-        # take every pivot of in * out > 0 once.
+        # windowed checks that the windows, fw_reference's batches of pivots,
+        # take every pivot of in * out > 0 once, in order, and the spy that
+        # each window's closing steps are its live pivots. "3-row-windows"
+        # runs _relax in bands of 3 rows.
         if graph == "3-row-windows":
             monkeypatch.setattr(fw, "_CHUNK_BYTES", 3 * 2 * 128)
         d = {"sparse-256": lambda: build_distance_matrix(gen_synthetic(256, 0.01, seed=2)),
@@ -962,8 +965,12 @@ class TestLiveRows:
              "3-row-windows": lambda: build_distance_matrix(gen_synthetic(128, 0.02, seed=3)),
              }[graph]()
         assert np.array_equal(fw_reference(d), scipy_apsp(d))
-        sizes = batched(spy.steps, d)
-        assert (sizes == []) == (graph in ("path", "cycle"))
+        ran = windowed(spy.steps, d)
+        # The path's first pivot, vertex 1, has its one in-entry from vertex
+        # 0, which is not a pivot; the cycle's every vertex is.
+        want = {"sparse-256": [15, 36, 61, 30], "path": [61], "cycle": [48],
+                "3-row-windows": [43, 45]}[graph]
+        assert [len(steps) for steps in ran] == want
 
 
 def cycle(order, unit):
@@ -1018,8 +1025,9 @@ class TestPivotRowPass:
 class TestPaths:
     """Each of _relax's paths, forced through fw._path at every call, gives
     the same distances: at every width, with a zero, a positive or an INF
-    diagonal, for batches of index-array pivots and steps and rounds of
-    slices, against scalar_fw and naive_blocked (both computed unforced)."""
+    diagonal, for windows of index-array pivots and rounds of slices (at
+    b = 1 steps of one pivot), against scalar_fw and naive_blocked (both
+    computed unforced)."""
 
     @pytest.mark.parametrize("width", TestLiveRows.WEIGHTS)
     @pytest.mark.parametrize("diagonal", ["zero", "positive", "INF"])
@@ -1039,7 +1047,7 @@ class TestPaths:
             widths.clear()
             spy.steps.clear()
             assert np.array_equal(fw_reference(d), want), path
-            assert batched(spy.steps, d)
+            assert windowed(spy.steps, d)
             for b, tiles in naive.items():
                 assert np.array_equal(fw_blocked(to_tile_major(d, b)), tiles), (path, b)
             assert widths == [[getattr(np, width)]] * 5
@@ -1070,12 +1078,13 @@ class TestPaths:
 
 
 class TestMemory:
-    """The batches and the fill-ordered rounds hold no second n x n array:
-    on a sparse n = 1024 graph each kernel's traced peak stays within one
-    band of _CHUNK_BYTES of its peak with pivots one at a time and rounds in
-    tile order: 5,247,105 bytes for fw_reference, 5,245,657 for fw_blocked
-    at b = 128 and 6,326,776 at b = 1024 (the 4 MiB result plus bands and
-    scratch; at m = 1 the pivot-row pass holds n x n scratch)."""
+    """fw_reference's windows and fw_blocked's fill-ordered rounds hold no
+    second n x n array: on a sparse n = 1024 graph each kernel's traced peak
+    stays within one band of _CHUNK_BYTES of its peak with pivots one at a
+    time and rounds in tile order: 5,247,105 bytes for fw_reference,
+    5,245,657 for fw_blocked at b = 128 and 6,326,776 at b = 1024 (the 4 MiB
+    result plus bands and scratch; at m = 1 the pivot-row pass holds n x n
+    scratch). fw_reference's windows of 64 peaked at 5,341,181 bytes."""
 
     PEAKS = {"reference": 5_247_105, "b=128": 5_245_657, "b=1024": 6_326_776}
 
@@ -1197,3 +1206,75 @@ class TestCapMapping:
             t = to_tile_major(d, 1)
             assert np.array_equal(from_tile_major(fw_blocked(t), n), want)
         assert widths == [tried] * (3 if n > 1 else 2)
+
+
+def grid(side, unit):
+    """The side x side grid digraph, an edge each way between neighbours, of
+    weight unit times a draw from [1, 100]; the diagonal 0."""
+    v = np.arange(side * side).reshape(side, side)
+    src = np.concatenate([v[:, :-1].ravel(), v[:-1].ravel()])
+    dst = np.concatenate([v[:, 1:].ravel(), v[1:].ravel()])
+    rng = np.random.default_rng(side)
+    d = path_graph(side * side, INF)
+    d[src, dst] = rng.integers(1, 101, len(src)) * unit
+    d[dst, src] = rng.integers(1, 101, len(src)) * unit
+    return d
+
+
+@cache
+def grid_fw(diagonal):
+    """scalar_fw of grid(12, 1) with the diagonal set to diagonal."""
+    d = grid(12, 1)
+    np.fill_diagonal(d, diagonal)
+    return scalar_fw(d)
+
+
+class TestWindow:
+    """fw_reference closes its pivot order window by window at any window
+    size: at fw._WINDOW = 1 plain single steps, at n + 1 one window of every
+    pivot. Each result equals scalar_fw, and the spy checks each window's
+    closing steps against its live pivots, at every width tried."""
+
+    DIAGONALS = {"zero": 0, "positive": 5, "INF": INF}
+
+    def windows(self, monkeypatch, spy, widths, d, want):
+        for size in (1, 2, 3, 64, len(d) + 1):
+            monkeypatch.setattr(fw, "_WINDOW", size)
+            widths.clear()
+            spy.steps.clear()
+            assert np.array_equal(fw_reference(d), want), size
+            windowed(spy.steps, d, len(widths[0]))
+
+    @pytest.mark.parametrize("diagonal", DIAGONALS)
+    @pytest.mark.parametrize("w, tried", [(100, [np.uint16]), (600, [np.uint16, np.uint32])],
+                             ids=["w=100", "w=600"])
+    def test_path(self, monkeypatch, spy, widths, w, tried, diagonal):
+        # 65 pivots, 1 to 65: a window of 64 and one of 1. At w = 600 the
+        # longest distance, 39,600, is past 2^15 - 1: the uint16 pass reruns.
+        d = path_graph(67, w)
+        np.fill_diagonal(d, self.DIAGONALS[diagonal])
+        self.windows(monkeypatch, spy, widths, d, scalar_fw(d))
+        assert widths == [tried]
+
+    @pytest.mark.parametrize("diagonal", DIAGONALS)
+    @pytest.mark.parametrize("unit, width", [(1, np.uint16), (1000, np.uint32)],
+                             ids=["uint16", "uint32"])
+    def test_grid(self, monkeypatch, spy, widths, unit, width, diagonal):
+        # Every path of grid(12, 1000) is 1000 times its path in grid(12, 1),
+        # so scalar_fw of the one is 1000 times that of the other.
+        value = self.DIAGONALS[diagonal]
+        d = grid(12, unit)
+        np.fill_diagonal(d, min(value * unit, INF))
+        want = grid_fw(value).astype(np.uint64)
+        want = np.where(want == INF, INF, want * unit).astype(np.uint32)
+        self.windows(monkeypatch, spy, widths, d, want)
+        assert widths == [[width]]
+
+    @settings(max_examples=100, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chained(), st.sampled_from(sorted(DIAGONALS)))
+    def test_chained(self, monkeypatch, spy, widths, case, diagonal):
+        d, _ = case
+        # The positive diagonal is w, the chain's first edge.
+        np.fill_diagonal(d, int(d[0, 1]) if diagonal == "positive" else self.DIAGONALS[diagonal])
+        self.windows(monkeypatch, spy, widths, d, scalar_fw(d))

@@ -94,7 +94,7 @@ def padded_graphs(draw):
 @given(padded_graphs())
 @example((CYCLE, 2))
 def test_fill_orders_agree_with_scipy(case):
-    """fw_reference's batches and fw_blocked's fill-ordered rounds against
+    """fw_reference's windows and fw_blocked's fill-ordered rounds against
     scipy, element for element, INF included."""
     d, b = case
     n = d.shape[0]
